@@ -48,7 +48,7 @@ let bench_timing_wheel_check () =
   let wheel = Timing_wheel.create ~tick:(Time_ns.of_us 10.0) () in
   for i = 1 to 64 do
     ignore
-      (Timing_wheel.schedule wheel ~at:(Int64.of_int (i * 100_000)) () : Timing_wheel.handle)
+      (Timing_wheel.schedule wheel ~at:(Int64.of_int (i * 100_000)) () : unit Timing_wheel.handle)
   done;
   Bechamel.Staged.stage (fun () -> ignore (Timing_wheel.next_deadline wheel : Time_ns.t option))
 

@@ -6,9 +6,10 @@
    populations N (a busy server keeps one or more timers per connection):
    each iteration performs one trigger-state check (next_deadline), and
    with the workload's probabilities a schedule, a cancel, or an expiry
-   sweep.  Reports ns/op per backend: the sorted list degrades linearly
-   in N on inserts, the heap logarithmically, and both wheels stay
-   flat -- the paper's footnote-2 choice. *)
+   sweep.  Reports ns/op per store (the hashed wheel and the three
+   [Timer_backend] references, lifted to [Timer_store.S]): the sorted
+   list degrades linearly in N on inserts, the heap logarithmically,
+   and both wheels stay flat -- the paper's footnote-2 choice. *)
 
 (* DET001: this ablation reports wall-clock ns/op of the competing
    timer backends — the wall clock is the measurand, never an input to
@@ -17,7 +18,13 @@
 
 let mix_iters = 200_000
 
-let run_mix (module B : Timer_backend.S) ~n ~seed =
+let stores : (module Timer_store.S) list =
+  Timer_store.wheel ()
+  :: List.map
+       (fun (module B : Timer_backend.S) -> (module Timer_store.Of_base (B) : Timer_store.S))
+       Timer_backend.all
+
+let run_mix (module B : Timer_store.S) ~n ~seed =
   let rng = Prng.create ~seed in
   let tick = Time_ns.of_us 10.0 in
   let w = B.create ~tick () in
@@ -76,16 +83,16 @@ let () =
   print_newline ();
   let grid =
     List.concat_map
-      (fun (module B : Timer_backend.S) -> List.map (fun n -> ((module B : Timer_backend.S), n)) populations)
-      Timer_backend.all
+      (fun (module B : Timer_store.S) -> List.map (fun n -> ((module B : Timer_store.S), n)) populations)
+      stores
   in
   let cells =
-    Runner.map (fun ((module B : Timer_backend.S), n) -> run_mix (module B) ~n ~seed:(7 + n)) grid
+    Runner.map (fun ((module B : Timer_store.S), n) -> run_mix (module B) ~n ~seed:(7 + n)) grid
   in
   let rec rows backends cells =
     match backends with
     | [] -> ()
-    | (module B : Timer_backend.S) :: rest ->
+    | (module B : Timer_store.S) :: rest ->
       let mine, others =
         (List.filteri (fun i _ -> i < List.length populations) cells,
          List.filteri (fun i _ -> i >= List.length populations) cells)
@@ -95,7 +102,7 @@ let () =
       print_newline ();
       rows rest others
   in
-  rows Timer_backend.all cells;
+  rows stores cells;
   print_newline ();
   print_endline
     "Shape: the sorted list degrades to tens of microseconds per operation\n\

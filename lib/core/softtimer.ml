@@ -20,6 +20,11 @@ type t = {
   mutable attached : bool;
   mutable record_delays : bool;
   delays : Stats.Sample.t;
+  (* The running check's instant and trigger name, read by [fire_cb]:
+     the fire callback is built once per facility, not once per check. *)
+  mutable check_now : Time_ns.t;
+  mutable check_source : string;
+  mutable fire_cb : Time_ns.t -> pending_event -> unit;
 }
 
 (* The ticket plus the trace identity: cancel and re-arm must stamp the
@@ -55,43 +60,60 @@ let measure_resolution t = t.measure_hz
 let interrupt_clock_resolution t = t.intr_hz
 let x_ratio t = Int64.div t.measure_hz t.intr_hz
 
-let measure_time t =
-  let now = Engine.now (Machine.engine t.machine) in
-  Int64.of_float (Int64.to_float now /. t.ns_per_tick)
+(* Tick and deadline arithmetic runs in immediate ints.  The float
+   expressions are the int64 ones term for term ([float_of_int] and
+   [int_of_float] convert exactly as [Int64.to_float] / [Int64.of_float]
+   do in range), so every tick and due time is bit-identical. *)
+let measure_ticks t =
+  let now = Int64.to_int (Engine.now (Machine.engine t.machine)) in
+  int_of_float (float_of_int now /. t.ns_per_tick)
 
-let ns_of_tick t tick =
-  (* Round up: a tick boundary maps to the first instant at or after it. *)
-  Int64.of_float (Float.ceil (Int64.to_float tick *. t.ns_per_tick))
+let measure_time t = Int64.of_int (measure_ticks t)
+
+(* Round up: a tick boundary maps to the first instant at or after it. *)
+let ns_of_tick t tick = int_of_float (Float.ceil (float_of_int tick *. t.ns_per_tick))
+
+(* An event scheduled [ticks] ahead now fires once measure_time exceeds
+   now + ticks, i.e. at tick now + ticks + 1. *)
+let due_after t ticks = Int64.of_int (ns_of_tick t (measure_ticks t + ticks + 1))
 
 let a_fire = Profile.intern [ "softtimer"; "fire" ]
+let fire_attr = Some a_fire
+let ignore_done (_ : Time_ns.t) = ()
+
+(* One due event: charge the dispatch cost (a procedure call) to the CPU
+   and run the handler inline.  The profiler's per-trigger dispatch
+   breakdown (paper Table 1) records which state fired it and at what
+   latency. *)
+let fire_one t due ev =
+  let now = t.check_now in
+  t.fired <- t.fired + 1;
+  Metrics.dincr m_fired;
+  Trace.soft_fire ~at:now ~id:ev.id ~due;
+  let delay = Int64.to_int now - Int64.to_int due in
+  if Profile.enabled () then
+    Profile.dispatch ~source:t.check_source ~delay:(Int64.of_int delay);
+  let delay_us = float_of_int delay /. 1e3 in
+  if t.record_delays then Stats.Sample.add t.delays delay_us;
+  Metrics.drecord h_fire_delay delay_us;
+  Machine.submit_quantum t.machine
+    ?attr:(if Profile.enabled () then fire_attr else None)
+    ~prio:Cpu.prio_intr ~klass:Cpu.klass_timer
+    ~work_us:(Machine.profile t.machine).Costs.softtimer_fire_us ~trigger:None ignore_done;
+  ev.handler now
 
 (* The per-trigger-state check: compare the cached earliest deadline with
-   now and fire anything due.  Firing charges the dispatch cost (a
-   procedure call) to the CPU and runs the handler inline.  [kind] is
-   the trigger state that performed this check — the profiler's
-   per-trigger dispatch breakdown (paper Table 1) records which state
-   fired each event and at what latency. *)
+   now and fire anything due.  [kind] is the trigger state that
+   performed this check. *)
 let check t kind now =
   t.checks <- t.checks + 1;
   Metrics.dincr m_checks;
   match t.store.Timer_store.i_next_deadline () with
   | Some d when Time_ns.(d <= now) ->
-    let fire_cost = (Machine.profile t.machine).Costs.softtimer_fire_us in
-    let fire_attr = if Profile.enabled () then Some a_fire else None in
     let source = Trigger.name kind in
-    let outcome =
-      t.store.Timer_store.i_fire_due ~now ~limit:t.check_budget (fun due ev ->
-          t.fired <- t.fired + 1;
-          Metrics.dincr m_fired;
-          Trace.soft_fire ~at:now ~id:ev.id ~due;
-          Profile.dispatch ~source ~delay:Time_ns.(now - due);
-          if t.record_delays then
-            Stats.Sample.add t.delays (Time_ns.to_us Time_ns.(now - due));
-          Metrics.drecord h_fire_delay (Time_ns.to_us Time_ns.(now - due));
-          Machine.submit_quantum t.machine ?attr:fire_attr ~prio:Cpu.prio_intr
-            ~klass:Cpu.klass_timer ~work_us:fire_cost ~trigger:None (fun _ -> ());
-          ev.handler now)
-    in
+    t.check_now <- now;
+    t.check_source <- source;
+    let outcome = t.store.Timer_store.i_fire_due ~now ~limit:t.check_budget t.fire_cb in
     (* One record per check that found work: the audit uses
        [scanned > fired] to see that a check reached the store but a
        budget kept it from this timer.  Emitted after the batch's
@@ -128,8 +150,12 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       attached = true;
       record_delays = false;
       delays = Stats.Sample.create ();
+      check_now = Time_ns.zero;
+      check_source = "";
+      fire_cb = (fun _ _ -> ());
     }
   in
+  t.fire_cb <- fire_one t;
   Machine.set_check_hook machine (Some (check t));
   Machine.set_idle_deadline_fn machine (Some (fun () -> t.store.Timer_store.i_next_deadline ()));
   Machine.start_interrupt_clock machine;
@@ -162,12 +188,8 @@ let notify_if_earliest t due =
   | Some d when t.attached && Time_ns.(d = due) -> Machine.notify_deadline_changed t.machine
   | _ -> ()
 
-let schedule_soft_event t ~ticks handler =
-  if Int64.compare ticks 0L < 0 then
-    invalid_arg "Softtimer.schedule_soft_event: negative ticks";
-  let sched = measure_time t in
-  (* Fires once measure_time > sched + ticks, i.e. at tick sched+ticks+1. *)
-  let due = ns_of_tick t (Int64.add sched (Int64.add ticks 1L)) in
+let schedule_ticks t ticks handler =
+  let due = due_after t ticks in
   let id = t.next_id in
   t.next_id <- id + 1;
   Metrics.dincr m_scheduled;
@@ -176,36 +198,39 @@ let schedule_soft_event t ~ticks handler =
   notify_if_earliest t due;
   { ticket; ev_id = id }
 
+let schedule_soft_event t ~ticks handler =
+  if Int64.compare ticks 0L < 0 then
+    invalid_arg "Softtimer.schedule_soft_event: negative ticks";
+  schedule_ticks t (Int64.to_int ticks) handler
+
 let schedule_after t span handler =
-  let span = Time_ns.max span 0L in
-  let ticks = Int64.of_float (Float.ceil (Int64.to_float span /. t.ns_per_tick)) in
-  schedule_soft_event t ~ticks handler
+  let span = if Int64.compare span 0L < 0 then 0 else Int64.to_int span in
+  schedule_ticks t (int_of_float (Float.ceil (float_of_int span /. t.ns_per_tick))) handler
 
 let cancel t h =
-  if h.ticket.Timer_store.tk_pending () then begin
+  if Timer_store.ticket_pending h.ticket then begin
     Metrics.dincr m_cancelled;
     Trace.soft_cancel
       ~at:(Engine.now (Machine.engine t.machine))
       ~id:h.ev_id
-      ~due:(h.ticket.Timer_store.tk_deadline ())
+      ~due:(Timer_store.ticket_deadline h.ticket)
   end;
-  h.ticket.Timer_store.tk_cancel ()
+  Timer_store.ticket_cancel h.ticket
 
 let rearm t h ~ticks =
   if Int64.compare ticks 0L < 0 then invalid_arg "Softtimer.rearm: negative ticks";
-  if not (h.ticket.Timer_store.tk_pending ()) then false
+  if not (Timer_store.ticket_pending h.ticket) then false
   else begin
     let at = Engine.now (Machine.engine t.machine) in
-    Trace.soft_cancel ~at ~id:h.ev_id ~due:(h.ticket.Timer_store.tk_deadline ());
-    let sched = measure_time t in
-    let due = ns_of_tick t (Int64.add sched (Int64.add ticks 1L)) in
+    Trace.soft_cancel ~at ~id:h.ev_id ~due:(Timer_store.ticket_deadline h.ticket);
+    let due = due_after t (Int64.to_int ticks) in
     (* A re-arm is cancel + schedule with the handle kept; the trace
        records it as exactly that pair — same id, so the audit keeps
        one causal chain per handle — and digests are independent of
        whether a client re-arms or reschedules. *)
     Trace.soft_sched ~at ~id:h.ev_id ~due;
     Metrics.dincr m_scheduled;
-    let moved = h.ticket.Timer_store.tk_rearm due in
+    let moved = Timer_store.ticket_rearm h.ticket due in
     if moved then notify_if_earliest t due;
     moved
   end

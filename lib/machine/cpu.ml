@@ -64,8 +64,8 @@ type t = {
   fronts : task list ref array;  (* resumed quanta, run before the queue *)
   queues : task Queue.t array;
   mutable current : running option;
-  mutable busy : Time_ns.span;
-  busy_by_prio : Time_ns.span array;
+  mutable busy : int;  (* ns; immediate, boxed only by [busy_ns] *)
+  busy_by_prio : int array;
   mutable idle_hook : Time_ns.t -> unit;
   mutable resume_hook : Time_ns.t -> unit;
   mutable depth : int;
@@ -78,8 +78,8 @@ let create ?(id = 0) engine =
     fronts = Array.init prio_count (fun _ -> ref []);
     queues = Array.init prio_count (fun _ -> Queue.create ());
     current = None;
-    busy = 0L;
-    busy_by_prio = Array.make prio_count 0L;
+    busy = 0;
+    busy_by_prio = Array.make prio_count 0;
     idle_hook = (fun _ -> ());
     resume_hook = (fun _ -> ());
     depth = 0;
@@ -88,8 +88,8 @@ let create ?(id = 0) engine =
 let id t = t.cpu_id
 
 let is_idle t = t.current = None && t.depth = 0
-let busy_ns t = t.busy
-let busy_ns_at t prio = t.busy_by_prio.(prio)
+let busy_ns t = Int64.of_int t.busy
+let busy_ns_at t prio = Int64.of_int t.busy_by_prio.(prio)
 let set_idle_hook t f = t.idle_hook <- f
 let set_resume_hook t f = t.resume_hook <- f
 let queue_depth t = t.depth
@@ -114,8 +114,9 @@ let take_next t =
    complete: every charged interval [now - span, now] reaches the trace
    exactly once, tagged with its work class. *)
 let charge t task span =
-  t.busy <- Time_ns.(t.busy + span);
-  t.busy_by_prio.(task.prio) <- Time_ns.(t.busy_by_prio.(task.prio) + span);
+  let ns = Int64.to_int span in
+  t.busy <- t.busy + ns;
+  t.busy_by_prio.(task.prio) <- t.busy_by_prio.(task.prio) + ns;
   Profile.charge task.attr ~cpu:t.cpu_id span;
   if Time_ns.(span > 0L) then
     Trace.cpu_run ~at:(Engine.now t.engine) ~cpu:t.cpu_id ~klass:task.klass ~dur:span

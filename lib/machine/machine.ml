@@ -104,9 +104,12 @@ let submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
     else attr
   in
   let work = Time_ns.of_us (Float.max 0.0 work_us) in
-  Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work (fun now ->
-      (match trigger with Some kind -> fire_trigger t kind | None -> ());
-      cb now)
+  match trigger with
+  | None -> Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work cb
+  | Some kind ->
+    Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work (fun now ->
+        fire_trigger t kind;
+        cb now)
 
 let interrupt_line t ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler () =
   Interrupt.line (interrupts t) ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler ()

@@ -350,7 +350,10 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
              next call's expiry sort dispatches the remainder in the
              same (deadline, tie) order.  Groups are unsorted inside, so
              append position is irrelevant. *)
-          group_append (target_group t.groups n.gat) n
+          group_append (target_group t.groups n.gat) n;
+          (* A callback may have cached a minimum taken while this node
+             was out of its group. *)
+          t.min_valid <- false
         end)
     due;
   Fire_outcome.pack ~scanned ~fired:!fired

@@ -284,5 +284,8 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
       n.nstate <- Linked;
       link_head n.nbucket n)
     !withheld;
+  (* A callback may have cached a minimum taken while these nodes were
+     out of their buckets. *)
+  (match !withheld with [] -> () | _ :: _ -> t.min_valid <- false);
   Fire_outcome.pack ~scanned ~fired:!fired
 [@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]

@@ -213,24 +213,13 @@ end
 (* ------------------------------------------------------------------ *)
 (* The production wheel, with configurable slot count.                 *)
 
-let wheel ?(slots = 512) () : (module S) =
-  let module W = struct
-    let name = "wheel"
+let wheel ?(slots = Timing_wheel.default_slots) () : (module S) =
+  let n = slots in  (* [include] below shadows [slots] *)
+  (module struct
+    include Timing_wheel
 
-    type 'a t = 'a Timing_wheel.t
-
-    type handle = Timing_wheel.handle
-
-    let create ~tick () = Timing_wheel.create ~slots ~tick ()
-    let schedule t ~at v = Timing_wheel.schedule t ~at v
-    let cancel = Timing_wheel.cancel
-    let pending = Timing_wheel.pending
-    let resident = Timing_wheel.resident
-    let next_deadline = Timing_wheel.next_deadline
-    let words = Timing_wheel.words
-    let fire_due t ~now ~limit f = Timing_wheel.fire_due t ~now ~limit f
-  end in
-  (module Of_base (W))
+    let create ~tick () = create_sized ~slots:n ~tick ()
+  end)
 
 (* ------------------------------------------------------------------ *)
 (* Approximate-firing oracle: any store M with every deadline rounded
@@ -271,15 +260,25 @@ module Quantize (M : S) : S = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Closure-based instances: let a consumer hold one store of each kind
-   without threading first-class module types through its own API.     *)
+(* Store instances: let a consumer hold one store of each kind without
+   threading first-class module types through its own API.  The ops
+   record is built once per instance; a schedule allocates one ticket
+   block (the store's handle next to that record) on top of whatever
+   the store itself allocates.                                          *)
 
-type ticket = {
-  tk_cancel : unit -> unit;
-  tk_rearm : Time_ns.t -> bool;
-  tk_pending : unit -> bool;
-  tk_deadline : unit -> Time_ns.t;
+type 'h ops = {
+  o_cancel : 'h -> unit;
+  o_rearm : 'h -> Time_ns.t -> bool;
+  o_pending : 'h -> bool;
+  o_deadline : 'h -> Time_ns.t;
 }
+
+type ticket = Ticket : 'h ops * 'h -> ticket
+
+let ticket_cancel (Ticket (o, h)) = o.o_cancel h
+let ticket_rearm (Ticket (o, h)) at = o.o_rearm h at
+let ticket_pending (Ticket (o, h)) = o.o_pending h
+let ticket_deadline (Ticket (o, h)) = o.o_deadline h
 
 type 'a inst = {
   i_name : string;
@@ -294,17 +293,17 @@ type 'a inst = {
 
 let instantiate (type a) (module M : S) ~tick () : a inst =
   let t : a M.t = M.create ~tick () in
+  let ops =
+    {
+      o_cancel = (fun h -> M.cancel t h);
+      o_rearm = (fun h at -> M.rearm t h ~at);
+      o_pending = (fun h -> M.handle_pending t h);
+      o_deadline = (fun h -> M.handle_deadline t h);
+    }
+  in
   {
     i_name = M.name;
-    i_schedule =
-      (fun ~at v ->
-        let h = M.schedule t ~at v in
-        {
-          tk_cancel = (fun () -> M.cancel t h);
-          tk_rearm = (fun at -> M.rearm t h ~at);
-          tk_pending = (fun () -> M.handle_pending t h);
-          tk_deadline = (fun () -> M.handle_deadline t h);
-        });
+    i_schedule = (fun ~at v -> Ticket (ops, M.schedule t ~at v));
     i_next_deadline = (fun () -> M.next_deadline t);
     i_fire_due = (fun ~now ~limit f -> M.fire_due t ~now ~limit f);
     i_pending = (fun () -> M.pending t);

@@ -119,8 +119,9 @@ module Of_base (_ : Timer_backend.S) : S
     entry that was already extracted into a fire batch from firing. *)
 
 val wheel : ?slots:int -> unit -> (module S)
-(** The production {!Timing_wheel} with [slots] slots (default 512),
-    lifted via {!Of_base}. *)
+(** The production {!Timing_wheel} with [slots] slots (default 512).
+    The wheel implements [S] natively; only [create] is re-bound to the
+    slot count. *)
 
 module Quantize (_ : S) : S
 (** The approximate-firing contract extension (§7.2): the wrapped store
@@ -131,18 +132,22 @@ module Quantize (_ : S) : S
     identical to [Quantize (Reference)]; rounding up means entries
     never fire before their requested deadline. *)
 
-(** {2 Closure-based instances}
+(** {2 Store instances}
 
-    [Softtimer] holds one store chosen at attach time; packing the
-    choice as closures avoids threading first-class-module types through
-    its API. *)
+    [Softtimer] holds one store chosen at attach time; an instance packs
+    the choice behind a record of functions built once, so its API needs
+    no first-class-module types.  A schedule returns a {!ticket}: the
+    store's own handle next to the instance's handle operations, one
+    small block per schedule. *)
 
-type ticket = {
-  tk_cancel : unit -> unit;
-  tk_rearm : Time_ns.t -> bool;
-  tk_pending : unit -> bool;
-  tk_deadline : unit -> Time_ns.t;
-}
+type ticket
+(** A scheduled entry of an instance: cancellable and re-armable (see
+    [S.cancel] / [S.rearm]) until it fires. *)
+
+val ticket_cancel : ticket -> unit
+val ticket_rearm : ticket -> Time_ns.t -> bool
+val ticket_pending : ticket -> bool
+val ticket_deadline : ticket -> Time_ns.t
 
 type 'a inst = {
   i_name : string;
@@ -156,4 +161,4 @@ type 'a inst = {
 }
 
 val instantiate : (module S) -> tick:Time_ns.span -> unit -> 'a inst
-(** A fresh store of the given kind, packed as closures. *)
+(** A fresh store of the given kind. *)

@@ -28,9 +28,7 @@ end
    corpses (cancelled entries not yet physically removed) reach both
    this floor and the live count, one O(resident) compaction pass sheds
    them all, so [resident t < 2 * max (pending t) compact_floor] holds
-   after every operation and the amortized cost per cancel is O(1).
-   The hashed wheel uses its slot count as the floor instead (see
-   [Timing_wheel]). *)
+   after every operation and the amortized cost per cancel is O(1). *)
 let compact_floor = 64
 
 (* Shared bookkeeping for flag-cancelled entries. *)
@@ -288,23 +286,6 @@ module Binary_heap : S = struct
         else drop_corpse t)
       batch;
     Fire_outcome.pack ~scanned ~fired:!fired
-end
-
-module Hashed : S = struct
-  let name = "hashed-wheel"
-
-  type 'a t = 'a Timing_wheel.t
-
-  type handle = Timing_wheel.handle
-
-  let create ~tick () = Timing_wheel.create ~tick ()
-  let schedule t ~at v = Timing_wheel.schedule t ~at v
-  let cancel = Timing_wheel.cancel
-  let pending = Timing_wheel.pending
-  let resident = Timing_wheel.resident
-  let next_deadline = Timing_wheel.next_deadline
-  let words = Timing_wheel.words
-  let fire_due t ~now ~limit f = Timing_wheel.fire_due t ~now ~limit f
 end
 
 module Hier : S = struct
@@ -642,4 +623,4 @@ module With_metrics (B : S) : S = struct
 end
 
 let all : (module S) list =
-  [ (module Sorted_list); (module Binary_heap); (module Hashed); (module Hier) ]
+  [ (module Sorted_list); (module Binary_heap); (module Hier) ]

@@ -13,7 +13,8 @@
       per-connection timers of a busy server.
     - {!Binary_heap}: O(log n) insert/expiry, O(1) check.
     - [Timing_wheel] (hashed; in this library): O(1) insert/cancel,
-      O(1) amortised check and expiry.
+      O(1) amortised check and expiry.  It implements the richer
+      [Timer_store.S] natively rather than this signature.
     - {!Hier}: hierarchical timing wheels (the second variant of
       Varghese & Lauck): multiple levels of coarser wheels; entries
       cascade down as time advances.  O(1) insert at the right level,
@@ -42,10 +43,8 @@ module type S = sig
   val resident : 'a t -> int
   (** Entries physically present in the store: pending entries plus
       cancelled corpses awaiting lazy reclamation.  Every backend bounds
-      this by [2 * max (pending t) floor] where [floor] is a small
-      constant (64 for the list/heap/hierarchical stores, the slot count
-      for the hashed wheel): once corpses reach both the floor and the
-      live count, a compaction pass sheds them all, keeping the
+      this by [2 * max (pending t) 64]: once corpses reach both that
+      floor and the live count, a compaction pass sheds them all, keeping the
       amortized cost per cancel O(1). *)
 
   val next_deadline : 'a t -> Time_ns.t option
@@ -83,9 +82,6 @@ end
 
 module Sorted_list : S
 module Binary_heap : S
-module Hashed : S
-(** The production {!Timing_wheel}, adapted to this signature. *)
-
 module Hier : S
 (** Hierarchical timing wheels: 4 levels of 64 slots, each level's tick
     64x the previous. *)
@@ -97,4 +93,4 @@ module With_metrics (_ : S) : S
     store's operation mix alongside its timings. *)
 
 val all : (module S) list
-(** All four backends, for tests and the ablation bench. *)
+(** The three reference backends, for tests and {!Timer_store.Of_base}. *)

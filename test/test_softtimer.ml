@@ -143,6 +143,34 @@ let test_bounds_property =
       Engine.run_until e (Time_ns.of_sec 0.05);
       !ok = Some true)
 
+(* Allocation bound of the facility's check -> fire -> reschedule
+   cycle, end to end through an idle machine: the idle loop arms the
+   engine for the earliest deadline, the wake-up runs a trigger-state
+   check, the fire charges its dispatch quantum to the CPU and the
+   handler schedules the next event.  [Gc.minor_words] is exact in
+   native code, so the figure is deterministic; the bound is the
+   measured 85.7 words with a little headroom. *)
+let test_fire_reschedule_alloc () =
+  let e, _, st = fresh () in
+  let fires = ref 0 in
+  let rec again (_ : Time_ns.t) =
+    incr fires;
+    ignore (Softtimer.schedule_soft_event st ~ticks:15_000L again : Softtimer.handle)
+  in
+  again Time_ns.zero;
+  Engine.run_until e (Time_ns.of_ms 20.0);
+  let f0 = !fires in
+  let until = Time_ns.of_ms 120.0 in
+  let before = Gc.minor_words () in
+  Engine.run_until e until;
+  let words = Gc.minor_words () -. before in
+  let n = !fires - f0 in
+  let per_cycle = words /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "%d cycles ran" n) true (n > 1_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per fire-and-reschedule cycle <= 90" per_cycle)
+    true (per_cycle <= 90.0)
+
 let test_idle_cpu_rescues_busy_machine () =
   (* Â§5.3: with every CPU compute-bound and trigger-less, events wait
      for the backup clock; an extra idle CPU restores exact firing. *)
@@ -518,6 +546,7 @@ let () =
           Alcotest.test_case "idle cpu rescues busy machine" `Quick
             test_idle_cpu_rescues_busy_machine;
           qc test_bounds_property;
+          Alcotest.test_case "fire-and-reschedule allocation" `Quick test_fire_reschedule_alloc;
         ] );
       ("delay_audit", [ qc test_audit_conservation_property ]);
       ( "rate_clock",

@@ -327,6 +327,22 @@ let test_fire_budget_tie_order () =
       Alcotest.(check (list string)) (M.name ^ ": tie order survives withholding") [ "x"; "y" ]
         (List.rev !fired))
 
+(* An entry withheld by the budget stays the earliest deadline even when
+   a callback of the same batch consulted [next_deadline] (which may
+   cache a minimum taken while the entry sat in the batch). *)
+let test_fire_budget_keeps_minimum () =
+  all_stores (fun (module M : Timer_store.S) ->
+      let t = M.create ~tick:(us 10.0) () in
+      let _ = M.schedule t ~at:(us 10.0) "a" in
+      let _ = M.schedule t ~at:(us 20.0) "b" in
+      let _ = M.schedule t ~at:(us 100.0) "c" in
+      ignore
+        (M.fire_due t ~now:(us 30.0) ~limit:1 (fun _ _ ->
+             ignore (M.next_deadline t : Time_ns.t option))
+          : Fire_outcome.t);
+      Alcotest.(check (option int64)) (M.name ^ ": withheld b is the minimum") (Some (us 20.0))
+        (M.next_deadline t))
+
 (* Regression (cancel-leak, store-wide): schedule/cancel churn of
    far-future timers must not grow residency past the compaction bound.
    This is the Sorted_list leak the issue names, checked on every
@@ -539,6 +555,7 @@ let () =
           Alcotest.test_case "cancel churn bounded" `Quick test_cancel_churn_bounded;
           Alcotest.test_case "rearm churn bounded" `Quick test_rearm_churn_bounded;
           Alcotest.test_case "digest independent of store" `Quick test_digest_store_independent;
+          Alcotest.test_case "fire budget keeps minimum" `Quick test_fire_budget_keeps_minimum;
         ] );
       ( "pacing-wheel",
         [
