@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench profile-smoke bench-json benchdiff mem-smoke mem-bench trace-smoke stats-smoke whylate-smoke lint lint-json lint-baseline sanitize-smoke determinism clean
+.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench profile-smoke bench-json benchdiff mem-smoke mem-bench trace-smoke stats-smoke whylate-smoke lint lint-json lint-baseline sanitize-smoke determinism perf-selftest clean
 
 all: build
 
@@ -170,6 +170,14 @@ determinism: build
 	dune exec bin/softtimers_cli.exe -- verify-determinism sensitivity --quick
 	dune exec bin/softtimers_cli.exe -- verify-determinism sensitivity --quick --jobs 4
 	dune exec bin/softtimers_cli.exe -- verify-determinism pacer-scale --quick
+
+# Self-test of the repository benchmark (perfbench/, see BENCHMARK.json)
+# at tiny sizes, about 20 s.  It builds perfbench/bench.exe from this
+# checkout and checks the result format, the metric names and units and
+# the per-seed digest repeatability, so a library change that breaks
+# the benchmark's build or its determinism fails here.
+perf-selftest:
+	python3 perfbench/selftest.py
 
 clean:
 	dune clean

@@ -62,12 +62,16 @@ val submit :
   t ->
   ?attr:Profile.attr ->
   ?klass:int ->
+  ?trigger:Trigger.kind ->
   prio:int ->
   work:Time_ns.span ->
   (Time_ns.t -> unit) ->
   unit
 (** [submit t ~prio ~work cb] enqueues a quantum; [cb] runs when its
     cumulative execution reaches [work], receiving the completion time.
+    With [trigger], the CPU passes the kind to the {!set_trigger_hook}
+    hook at completion, just before [cb] (the quantum ends in that
+    trigger state).
     Zero-work quanta complete as soon as they are dispatched.  [attr]
     names the quantum's cycle-attribution category (defaults to
     {!default_attr} for its priority); all of the quantum's execution
@@ -75,6 +79,9 @@ val submit :
     to it.  [klass] (default: the priority itself) is the work class
     stamped on the quantum's {!Trace.Cpu_run} records; pass
     {!klass_timer} for soft-timer handler execution.
+    A steady stream of quanta allocates nothing here: tasks live in a
+    per-CPU pool that grows to the peak backlog, and only a preemption
+    that consumed work boxes the remainder.
     @raise Invalid_argument for out-of-range priority or negative work. *)
 
 val default_attr : int -> Profile.attr
@@ -96,6 +103,11 @@ val set_idle_hook : t -> (Time_ns.t -> unit) -> unit
 
 val set_resume_hook : t -> (Time_ns.t -> unit) -> unit
 (** Called at every transition out of idle. *)
+
+val set_trigger_hook : t -> (Trigger.kind -> unit) -> unit
+(** Called with the [trigger] of every quantum submitted with one, at
+    its completion and before its callback.  {!Machine.create} installs
+    its trigger-state dispatch here. *)
 
 val queue_depth : t -> int
 (** Quanta queued but not running (diagnostics). *)

@@ -135,11 +135,17 @@ let step_ctx_switch m =
     entry_attr = a_ctx_switch;
   }
 
+(* One cursor per script, as in [Exec.run]: [next] continues every
+   step, so a script builds one closure and one ref whatever its
+   length. *)
 let run_script m steps k =
-  let rec go = function
+  let rest = ref steps in
+  let rec next (_ : Time_ns.t) =
+    match !rest with
     | [] -> k (Engine.now (Machine.engine m))
-    | s :: rest ->
+    | s :: tl ->
+      rest := tl;
       Machine.submit_quantum m ?attr:(step_attr s) ~prio:s.prio ~work_us:s.work_us
-        ~trigger:s.trigger (fun _now -> go rest)
+        ~trigger:s.trigger next
   in
-  go steps
+  next Time_ns.zero

@@ -13,6 +13,7 @@ let m_triggers = Metrics.dcounter Metrics.default "machine.triggers"
 type t = {
   engine : Engine.t;
   profile : Costs.profile;
+  check_span : Time_ns.span;  (* the profile's softtimer_check_us *)
   cpus : Cpu.t array;
   idle : bool array;  (* per-CPU idle state *)
   mutable checker : int option;  (* the one idle CPU checking (§5.2) *)
@@ -82,34 +83,33 @@ let trigger_total t = Array.fold_left ( + ) 0 t.counts
 
 let check_attr = Profile.intern [ "softtimer"; "check" ]
 
-let submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
+(* Split the trigger-state check surcharge out of a quantum so it shows
+   up under softtimer;check rather than inflating the work's own
+   category.  ALLOC002: profiling only; [submit_quantum] calls it just
+   while a profiler is installed. *)
+let split_check t ~prio attr =
+  let base = match attr with Some a -> a | None -> Cpu.default_attr prio in
+  Some (Profile.seq [ (check_attr, t.check_span) ] ~tail:base)
+[@@lint.allow "ALLOC002"]
+
+(* A quantum's work, with the check surcharge added when [checked].
+   Rounds as [Time_ns.of_us (Float.max 0.0 us)] does, written out so the
+   float sum stays unboxed: the span box is the only allocation. *)
+let work_of_us t ~checked work_us =
+  let us = if checked then work_us +. t.profile.Costs.softtimer_check_us else work_us in
+  let us = if us > 0.0 || Float.is_nan us then us else 0.0 in
+  (* ALLOC003: [Cpu.submit] takes a boxed span; this box is the one
+     allocation per quantum. *)
+  (Int64.of_float (Float.round (us *. 1e3)) [@lint.allow "ALLOC003"])
+
+let[@hot] submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
   if cpu < 0 || cpu >= Array.length t.cpus then
     invalid_arg "Machine.submit_quantum: bad cpu";
-  let checked =
-    match (trigger, t.check_hook) with Some _, Some _ -> true | _ -> false
-  in
-  let work_us =
-    if checked then work_us +. t.profile.Costs.softtimer_check_us else work_us
-  in
-  let attr =
-    (* Split the trigger-state check surcharge out of the quantum so it
-       shows up under softtimer;check rather than inflating the work's
-       own category.  Only allocate the seq when profiling is live. *)
-    if checked && Profile.enabled () then
-      let base = match attr with Some a -> a | None -> Cpu.default_attr prio in
-      Some
-        (Profile.seq
-           [ (check_attr, Time_ns.of_us t.profile.Costs.softtimer_check_us) ]
-           ~tail:base)
-    else attr
-  in
-  let work = Time_ns.of_us (Float.max 0.0 work_us) in
-  match trigger with
-  | None -> Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work cb
-  | Some kind ->
-    Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work (fun now ->
-        fire_trigger t kind;
-        cb now)
+  let checked = Option.is_some trigger && Option.is_some t.check_hook in
+  let attr = if checked && Profile.enabled () then split_check t ~prio attr else attr in
+  (* The trigger kind rides in the task: the CPU reports it through the
+     hook [create] installs, just before [cb]. *)
+  Cpu.submit t.cpus.(cpu) ?attr ?klass ?trigger ~prio ~work:(work_of_us t ~checked work_us) cb
 
 let interrupt_line t ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler () =
   Interrupt.line (interrupts t) ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler ()
@@ -128,8 +128,12 @@ let raise_irq t ln ?(handler_work_us = 0.0) () =
    are one-shot events re-armed while that CPU stays the checker; the
    epoch counter discards events armed before the last checker change. *)
 
+(* Not [t.checker = Some i]: that builds the [Some] to compare, and
+   [on_resume] runs at every submit to an idle CPU. *)
+let is_checker t i = match t.checker with Some c -> c = i | None -> false
+
 let checker_still t epoch i =
-  t.idle_epoch = epoch && t.checker = Some i && Cpu.is_idle t.cpus.(i)
+  t.idle_epoch = epoch && is_checker t i && Cpu.is_idle t.cpus.(i)
 
 let rec arm_idle_poll t epoch i =
   match t.idle_poll with
@@ -186,7 +190,7 @@ let on_idle t i _now =
 
 let on_resume t i _now =
   t.idle.(i) <- false;
-  if t.checker = Some i then assign_checker t
+  if is_checker t i then assign_checker t
 
 let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
   if cpus < 1 then invalid_arg "Machine.create: need at least one cpu";
@@ -196,6 +200,7 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
     {
       engine;
       profile;
+      check_span = Time_ns.of_us profile.Costs.softtimer_check_us;
       cpus = cpu_arr;
       idle = Array.make cpus true;
       checker = None;
@@ -222,7 +227,8 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
   Array.iteri
     (fun i cpu ->
       Cpu.set_idle_hook cpu (on_idle t i);
-      Cpu.set_resume_hook cpu (on_resume t i))
+      Cpu.set_resume_hook cpu (on_resume t i);
+      Cpu.set_trigger_hook cpu (fire_trigger t))
     cpu_arr;
   t
 

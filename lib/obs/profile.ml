@@ -94,6 +94,9 @@ let seq parts ~tail =
       parts
   in
   Seq { parts; tail }
+(* ALLOC001/002: a seq is built per quantum only while a profiler is
+   installed; hot callers gate on [enabled]. *)
+[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]
 
 (* ------------------------------------------------------------------ *)
 (* Profiler instances                                                  *)
@@ -144,6 +147,9 @@ let cpu_row p cpu =
     grown
   end
   else row
+(* ALLOC001-003: row growth of an installed profiler, amortised over
+   its charges; never reached with profiling off. *)
+[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"] [@@lint.allow "ALLOC003"]
 
 let bump p ~cpu id span =
   let row = cpu_row p cpu in
@@ -169,6 +175,9 @@ let rec charge_inner p ~cpu attr span =
         if Int64.compare (Time_ns.to_ns left) 0L <= 0 then s.parts <- rest
         else s.parts <- (id, left) :: rest;
         charge_inner p ~cpu attr Time_ns.(span - used))
+(* ALLOC002: consuming a seq part; profiling only ([charge] returns
+   before this with no profiler installed). *)
+[@@lint.allow "ALLOC002"]
 
 let charge attr ~cpu span =
   match !(Domain.DLS.get sink) with None -> () | Some p -> charge_inner p ~cpu attr span

@@ -33,25 +33,37 @@ let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { buf = Array.make capacity dummy; head = 0; len = 0; dropped = 0 }
 
-(* The installed sink.  Emitters read this once; [None] is the disabled
-   fast path.  Both the sink and the tap are domain-local: a freshly
-   spawned domain starts with neither, so parallel experiment workers
-   (lib/parallel) never write into a ring installed by the main domain
-   — each worker captures into its own ring, which the runner then
-   {!absorb}s into the parent's in deterministic job order. *)
-let sink : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+(* The installed consumers: the ring-buffer sink and a synchronous tap
+   (the runtime sanitizer, lib/check), which sees every emitted event
+   whether or not a ring is installed.  They share one domain-local
+   record whose [armed] flag caches "either is present", so the
+   disabled path of every emitter is one DLS load and one branch.  A
+   freshly spawned domain starts with neither, so parallel experiment
+   workers (lib/parallel) never write into a ring installed by the main
+   domain — each worker captures into its own ring, which the runner
+   then {!absorb}s into the parent's in deterministic job order. *)
+type consumers = {
+  mutable sink : t option;
+  mutable tap : (at:Time_ns.t -> event -> unit) option;
+  mutable armed : bool;
+}
 
-(* A synchronous tap (the runtime sanitizer, lib/check): sees every
-   emitted event whether or not a ring buffer is installed. *)
-let tap : (at:Time_ns.t -> event -> unit) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let consumers : consumers Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { sink = None; tap = None; armed = false })
 
-let install t = Domain.DLS.get sink := Some t
-let uninstall () = Domain.DLS.get sink := None
-let installed () = !(Domain.DLS.get sink)
-let enabled () = !(Domain.DLS.get sink) <> None
-let set_tap f = Domain.DLS.get tap := f
-let tap_installed () = Option.is_some !(Domain.DLS.get tap)
+let set_consumers ~sink ~tap =
+  let c = Domain.DLS.get consumers in
+  c.sink <- sink;
+  c.tap <- tap;
+  c.armed <- Option.is_some sink || Option.is_some tap
+
+let install t = set_consumers ~sink:(Some t) ~tap:(Domain.DLS.get consumers).tap
+let uninstall () = set_consumers ~sink:None ~tap:(Domain.DLS.get consumers).tap
+let installed () = (Domain.DLS.get consumers).sink
+let enabled () = Option.is_some (installed ())
+let set_tap f = set_consumers ~sink:(installed ()) ~tap:f
+let tap_installed () = Option.is_some (Domain.DLS.get consumers).tap
+let[@inline] armed () = (Domain.DLS.get consumers).armed
 
 let capacity t = Array.length t.buf
 let length t = t.len
@@ -93,15 +105,15 @@ let to_list t =
   iter t (fun r -> acc := r :: !acc);
   List.rev !acc
 
-(* Emitters.  Each one checks for consumers before constructing the
-   record, so a disabled trace costs two loads and a branch. *)
-
-let[@inline] armed () =
-  Option.is_some !(Domain.DLS.get sink) || Option.is_some !(Domain.DLS.get tap)
-
+(* Emitters.  Each one checks {!armed} before constructing the record,
+   so a disabled trace costs one load and a branch.  ALLOC002 on [emit]
+   and the CPU emitters, which the machine's [@hot] roots reach:
+   records are built only while [armed]. *)
 let emit ~at ev =
-  (match !(Domain.DLS.get tap) with None -> () | Some f -> f ~at ev);
-  match !(Domain.DLS.get sink) with None -> () | Some t -> push t { at; ev }
+  let c = Domain.DLS.get consumers in
+  (match c.tap with None -> () | Some f -> f ~at ev);
+  match c.sink with None -> () | Some t -> push t { at; ev }
+[@@lint.allow "ALLOC002"]
 
 let trigger ~at kind = if armed () then emit ~at (Trigger kind)
 let soft_sched ~at ~id ~due = if armed () then emit ~at (Soft_sched { id; due })
@@ -116,11 +128,12 @@ let soft_check ~at ~src ~scanned ~fired =
 
 let cpu_run ~at ~cpu ~klass ~dur =
   if armed () then emit ~at (Cpu_run { cpu; klass; dur })
+[@@lint.allow "ALLOC002"]
 let irq ~at ~line ~cpu ~dur = if armed () then emit ~at (Irq { line; cpu; dur })
 let irq_raised ~at ~line = if armed () then emit ~at (Irq_raised { line })
 let irq_lost ~at ~line = if armed () then emit ~at (Irq_lost { line })
-let cpu_busy ~at ~cpu = if armed () then emit ~at (Cpu_busy { cpu })
-let cpu_idle ~at ~cpu = if armed () then emit ~at (Cpu_idle { cpu })
+let cpu_busy ~at ~cpu = if armed () then emit ~at (Cpu_busy { cpu }) [@@lint.allow "ALLOC002"]
+let cpu_idle ~at ~cpu = if armed () then emit ~at (Cpu_idle { cpu }) [@@lint.allow "ALLOC002"]
 let pkt_enqueue ~at ~nic ~qlen = if armed () then emit ~at (Pkt_enqueue { nic; qlen })
 let pkt_tx ~at ~nic = if armed () then emit ~at (Pkt_tx { nic })
 let pkt_rx ~at ~nic ~batch = if armed () then emit ~at (Pkt_rx { nic; batch })
@@ -141,6 +154,6 @@ let absorb src =
   iter src (fun r -> emit ~at:r.at r.ev);
   let d = dropped src in
   if d > 0 then
-    match !(Domain.DLS.get sink) with
+    match installed () with
     | None -> ()
     | Some dst -> dst.dropped <- dst.dropped + d

@@ -81,6 +81,11 @@ val set_tap : (at:Time_ns.t -> event -> unit) option -> unit
 
 val tap_installed : unit -> bool
 
+val armed : unit -> bool
+(** Whether any consumer (ring or tap) is installed: exactly when the
+    emitters record anything.  Lets a caller skip building an emitter's
+    arguments (a boxed span, say) on the disabled path. *)
+
 val capacity : t -> int
 
 val length : t -> int

@@ -413,6 +413,302 @@ let test_cpu_work_conservation =
       && Int64.equal (Cpu.busy_ns cpu) !total
       && Cpu.is_idle cpu)
 
+(* Reference model: the list-and-queue scheduler [Cpu] used before its
+   task pool, kept here only as the oracle for the property below.
+   Preempted quanta go on a per-priority LIFO list that runs before
+   that priority's FIFO queue. *)
+module Ref_cpu = struct
+  type task = { prio : int; mutable remaining : Time_ns.span; cb : Time_ns.t -> unit }
+  type running = { task : task; started : Time_ns.t; handle : Engine.handle }
+
+  type t = {
+    engine : Engine.t;
+    fronts : task list ref array;
+    queues : task Queue.t array;
+    mutable current : running option;
+    busy_by_prio : Time_ns.span array;
+    mutable idle_hook : Time_ns.t -> unit;
+    mutable resume_hook : Time_ns.t -> unit;
+    mutable depth : int;
+  }
+
+  let create engine =
+    {
+      engine;
+      fronts = Array.init Cpu.prio_count (fun _ -> ref []);
+      queues = Array.init Cpu.prio_count (fun _ -> Queue.create ());
+      current = None;
+      busy_by_prio = Array.make Cpu.prio_count 0L;
+      idle_hook = ignore;
+      resume_hook = ignore;
+      depth = 0;
+    }
+
+  let is_idle t = t.current = None && t.depth = 0
+  let preemptible prio = prio >= Cpu.prio_kernel
+
+  let take_next t =
+    let rec scan prio =
+      if prio >= Cpu.prio_count then None
+      else
+        match !(t.fronts.(prio)) with
+        | task :: rest ->
+          t.fronts.(prio) := rest;
+          Some task
+        | [] ->
+          if Queue.is_empty t.queues.(prio) then scan (prio + 1)
+          else Some (Queue.pop t.queues.(prio))
+    in
+    scan 0
+
+  let charge t task span =
+    t.busy_by_prio.(task.prio) <- Time_ns.(t.busy_by_prio.(task.prio) + span)
+
+  let rec dispatch t =
+    match take_next t with
+    | None ->
+      t.current <- None;
+      t.idle_hook (Engine.now t.engine)
+    | Some task ->
+      t.depth <- t.depth - 1;
+      let started = Engine.now t.engine in
+      let handle = Engine.schedule_after t.engine task.remaining (fun () -> complete t task) in
+      t.current <- Some { task; started; handle }
+
+  and complete t task =
+    charge t task task.remaining;
+    task.remaining <- 0L;
+    t.current <- None;
+    task.cb (Engine.now t.engine);
+    if t.current = None then dispatch t
+
+  let preempt t r =
+    Engine.cancel t.engine r.handle;
+    let elapsed = Time_ns.(Engine.now t.engine - r.started) in
+    charge t r.task elapsed;
+    r.task.remaining <- Time_ns.(r.task.remaining - elapsed);
+    t.fronts.(r.task.prio) := r.task :: !(t.fronts.(r.task.prio));
+    t.depth <- t.depth + 1;
+    t.current <- None
+
+  let submit t ~prio ~work cb =
+    let was_idle = is_idle t in
+    Queue.add { prio; remaining = work; cb } t.queues.(prio);
+    t.depth <- t.depth + 1;
+    if was_idle then t.resume_hook (Engine.now t.engine);
+    match t.current with
+    | None -> dispatch t
+    | Some r when preemptible r.task.prio && prio < r.task.prio ->
+      preempt t r;
+      dispatch t
+    | Some _ -> ()
+end
+
+(* What either scheduler shows the outside world, in order. *)
+type sched_obs =
+  | Arrived of int * int  (* job tag, queue depth after the submit *)
+  | Done of int * Time_ns.t * int  (* job tag, completion time, depth *)
+  | Idle_at of Time_ns.t
+  | Resume_at of Time_ns.t
+
+type sched_ops = {
+  s_submit : prio:int -> work:Time_ns.span -> (Time_ns.t -> unit) -> unit;
+  s_depth : unit -> int;
+  s_busy_at : int -> Time_ns.span;
+  s_idle : unit -> bool;
+}
+
+(* Jobs: (prio, work, arrival, follow-up).  Times sit on a 5 us grid
+   so arrivals coincide with completions; work may be zero; a job's
+   follow-up is submitted from inside its completion callback and
+   itself submits one more quantum, at the original priority. *)
+let run_sched_jobs make jobs =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note o = log := o :: !log in
+  let s =
+    make e ~on_idle:(fun now -> note (Idle_at now)) ~on_resume:(fun now -> note (Resume_at now))
+  in
+  let us5 k = Time_ns.of_us (5.0 *. float_of_int k) in
+  let rec submit tag prio work_k chain =
+    s.s_submit ~prio ~work:(us5 work_k) (fun now ->
+        note (Done (tag, now, s.s_depth ()));
+        match chain with
+        | [] -> ()
+        | (p, w) :: rest -> submit (tag + 1000) p w rest);
+    note (Arrived (tag, s.s_depth ()))
+  in
+  List.iteri
+    (fun i (prio, work_k, at_k, follow) ->
+      let chain = match follow with None -> [] | Some (p, w) -> [ (p, w); (prio, w) ] in
+      ignore
+        (Engine.schedule_at e (us5 at_k) (fun () -> submit i prio work_k chain) : Engine.handle))
+    jobs;
+  Engine.run e;
+  (List.rev !log, List.init Cpu.prio_count s.s_busy_at, s.s_idle ())
+
+let real_sched e ~on_idle ~on_resume =
+  let c = Cpu.create e in
+  Cpu.set_idle_hook c on_idle;
+  Cpu.set_resume_hook c on_resume;
+  {
+    s_submit = (fun ~prio ~work cb -> Cpu.submit c ~prio ~work cb);
+    s_depth = (fun () -> Cpu.queue_depth c);
+    s_busy_at = Cpu.busy_ns_at c;
+    s_idle = (fun () -> Cpu.is_idle c);
+  }
+
+let ref_sched e ~on_idle ~on_resume =
+  let c = Ref_cpu.create e in
+  c.Ref_cpu.idle_hook <- on_idle;
+  c.Ref_cpu.resume_hook <- on_resume;
+  {
+    s_submit = Ref_cpu.submit c;
+    s_depth = (fun () -> c.Ref_cpu.depth);
+    s_busy_at = (fun p -> c.Ref_cpu.busy_by_prio.(p));
+    s_idle = (fun () -> Ref_cpu.is_idle c);
+  }
+
+let test_cpu_matches_reference_model =
+  let work = QCheck.map (fun k -> max 0 k) (QCheck.int_range (-4) 30) in
+  QCheck.Test.make ~name:"cpu matches the list-based reference scheduler" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 40)
+        (quad (int_range 0 4) work (int_range 0 60) (option (pair (int_range 0 4) work))))
+    (fun jobs -> run_sched_jobs real_sched jobs = run_sched_jobs ref_sched jobs)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation bounds of the quantum path.  In native code
+   [Gc.minor_words] counts every allocated word exactly, so these
+   figures are deterministic.  Spans and callbacks are built before
+   measuring and the first rounds (pool and engine-slot growth) are not
+   measured, so the loops allocate only what the code under test does.
+   The engine boxes its clock each time it advances; [advance_words]
+   measures that share so the bounds below pin the CPU's own. *)
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Words per clock advance of a bare engine: [n] chained events, each
+   [step] after the last. *)
+let advance_words () =
+  let e = Engine.create () in
+  let step = us 10.0 and n = ref 0 in
+  let rec tick () =
+    incr n;
+    if !n < 2_000 then ignore (Engine.schedule_after e step tick : Engine.handle)
+  in
+  tick ();
+  Engine.run_until e (us 5_000.0);
+  let n0 = !n in
+  let words = minor_words_during (fun () -> Engine.run e) in
+  words /. float_of_int (!n - n0)
+
+(* A chain of quanta of at most 10.5 us, each submitted from the last
+   one's completion; returns words per quantum over a stretch in the
+   middle of the chain, clear of its start-up and of its final idle
+   transition. *)
+let chain_words e submit =
+  let n = ref 0 in
+  let rec again (_ : Time_ns.t) =
+    incr n;
+    if !n < 4_000 then submit again
+  in
+  let from = us 5_000.0 and until = us 25_000.0 in
+  again Time_ns.zero;
+  Engine.run_until e from;
+  let n0 = !n in
+  let words = minor_words_during (fun () -> Engine.run_until e until) in
+  Alcotest.(check bool) "chain still running" true (!n < 4_000);
+  words /. float_of_int (!n - n0)
+
+let test_cpu_quantum_alloc () =
+  let per_advance = advance_words () in
+  let e = Engine.create () in
+  let cpu = Cpu.create e in
+  let work = us 10.0 in
+  let per_quantum =
+    chain_words e (fun again -> Cpu.submit cpu ~prio:Cpu.prio_user ~work again)
+  in
+  Alcotest.(check (float 1e-9)) "submit -> completion adds nothing to the engine's clock box"
+    per_advance per_quantum
+
+(* Each round: a user quantum of 10 us; 4 us in, an interrupt quantum of
+   2 us preempts it; the user quantum resumes and completes at 12 us.
+   Three clock advances per round, and the one box the preemption makes
+   for the remaining 6 us: the engine takes the resumed remainder as a
+   boxed span. *)
+let test_cpu_preempt_alloc () =
+  let per_advance = advance_words () in
+  let e = Engine.create () in
+  let cpu = Cpu.create e in
+  let user_work = us 10.0 and intr_work = us 2.0 and arrive = us 4.0 in
+  let rounds = ref 0 and limit = 4_000 in
+  let nop (_ : Time_ns.t) = () in
+  let interrupt () = Cpu.submit cpu ~prio:Cpu.prio_intr ~work:intr_work nop in
+  let rec user (_ : Time_ns.t) =
+    incr rounds;
+    if !rounds < limit then begin
+      Cpu.submit cpu ~prio:Cpu.prio_user ~work:user_work user;
+      ignore (Engine.schedule_after e arrive interrupt : Engine.handle)
+    end
+  in
+  user Time_ns.zero;
+  Engine.run_until e (us (12.0 *. float_of_int (limit / 2)));
+  let r0 = !rounds in
+  let words = minor_words_during (fun () -> Engine.run e) in
+  let per_round = words /. float_of_int (!rounds - r0) in
+  Alcotest.(check int) "every round ran" limit !rounds;
+  Alcotest.(check (float 1e-9)) "preempt -> resume -> completion: only the remainder box"
+    ((3.0 *. per_advance) +. 3.0) per_round;
+  Alcotest.(check int64) "user busy" (Int64.mul (Int64.of_int (limit - 1)) user_work)
+    (Cpu.busy_ns_at cpu Cpu.prio_user)
+
+let test_submit_quantum_alloc () =
+  let per_advance = advance_words () in
+  List.iter
+    (fun (label, trigger) ->
+      let e, m = fresh () in
+      Machine.set_check_hook m (Some (fun _ _ -> ()));
+      let per_quantum =
+        chain_words e (fun again ->
+            Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:9.9 ~trigger again)
+      in
+      Alcotest.(check (float 1e-9))
+        (label ^ ": the work span box is the only allocation")
+        (per_advance +. 3.0) per_quantum)
+    [ ("no trigger", None); ("syscall trigger", Some Trigger.Syscall) ]
+
+(* A script's cost is one cursor, whatever its length: per step only the
+   quantum's span box remains.  Zero-work steps keep the clock still. *)
+let test_script_cursor_alloc () =
+  let script_words run n =
+    let e, m = fresh () in
+    let steps = List.init n (fun _ -> Kernel.step_user m ~work_us:0.0) in
+    let go = run m steps in
+    let k (_ : Time_ns.t) = () in
+    go k;
+    Engine.run e;
+    minor_words_during (fun () ->
+        go k;
+        Engine.run e)
+  in
+  List.iter
+    (fun (name, run) ->
+      let w4 = script_words run 4 and w64 = script_words run 64 in
+      Alcotest.(check (float 1e-9))
+        (name ^ ": 4- and 64-step scripts differ by 60 span boxes")
+        (w4 +. (60.0 *. 3.0)) w64)
+    [
+      ("Kernel.run_script", Kernel.run_script);
+      ( "Exec.run",
+        fun m steps ->
+          let items = List.map Exec.quantum steps in
+          Exec.run m items );
+    ]
+
 (* Property: engine events fire exactly once, in (time, insertion) order,
    and cancelled events never fire. *)
 let test_engine_event_order_property =
@@ -454,6 +750,7 @@ let () =
           Alcotest.test_case "preempted callback fires once" `Quick test_cpu_preempted_callback_once;
           Alcotest.test_case "invalid args" `Quick test_cpu_invalid_args;
           QCheck_alcotest.to_alcotest test_cpu_work_conservation;
+          QCheck_alcotest.to_alcotest test_cpu_matches_reference_model;
           QCheck_alcotest.to_alcotest test_engine_event_order_property;
         ] );
       ( "interrupts",
@@ -486,5 +783,12 @@ let () =
           Alcotest.test_case "no checker when all busy" `Quick test_smp_no_checker_when_all_busy;
           Alcotest.test_case "interrupt affinity" `Quick test_smp_interrupt_affinity;
           Alcotest.test_case "invalid args" `Quick test_smp_invalid_args;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "cpu submit -> completion" `Quick test_cpu_quantum_alloc;
+          Alcotest.test_case "cpu preempt -> resume" `Quick test_cpu_preempt_alloc;
+          Alcotest.test_case "machine submit_quantum" `Quick test_submit_quantum_alloc;
+          Alcotest.test_case "script cursors" `Quick test_script_cursor_alloc;
         ] );
     ]
