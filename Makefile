@@ -23,10 +23,12 @@ bench-parallel: build
 microbench: build
 	dune exec bench/microbench.exe -- --quota 2
 
-# Timer-store arena: every Timer_store backend head-to-head under
+# Timer-store arena: every registered store head-to-head under
 # schedule_fire / rearm_churn / cancel_churn at ARENA_N live timers
-# (the EXPERIMENTS.md table ran at 1M and 4M).  Writes a markdown table
-# to ARENA_OUT; CI runs a smaller population and uploads the table.
+# (the EXPERIMENTS.md table ran at 1M).  Writes a markdown table to
+# ARENA_OUT and fails when the exact stores disagree on a fired, rearm
+# or final-pending count; CI runs a smaller population and uploads the
+# table.
 ARENA_N ?= 1000000
 ARENA_OPS ?= 100000
 ARENA_OUT ?= /tmp/softtimers-arena.md

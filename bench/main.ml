@@ -252,7 +252,7 @@ let whylate_json da =
              (Delay_audit.trigger_rows da)) );
     ]
 
-(* Deterministic per-store workload counts: every Timer_store backend
+(* Deterministic per-store workload counts: every registered timer store
    runs the same small churn mix (schedule / cancel / re-arm / expiry)
    in simulated time — no wall clock — so the cells gate under
    benchdiff --strict like any table cell.  The fired and rearm counts

@@ -1,5 +1,5 @@
-(* Head-to-head timer-store arena: every Timer_store backend under the
-   same server-like workloads at large live-timer populations.
+(* Head-to-head timer-store arena: every registered timer store under
+   the same server-like workloads at large live-timer populations.
 
    dune exec bench/store_arena.exe -- [--n N] [--ops K] [--seed S] [--out FILE]
 
@@ -23,7 +23,12 @@
 
    The ns/op figures are wall-clock (allowlisted for lint DET001, like
    timer_ablation.ml); the fired/rearm/resident counts are deterministic
-   functions of (--seed, --n, --ops). *)
+   functions of (--seed, --n, --ops).
+
+   Self-check: the exact stores ([Store_registry.exact]) implement one
+   contract, so on the same workload they must report the same fired,
+   rearm and final-pending counts.  The arena exits 1 when any of them
+   disagrees with the first. *)
 
 (* DET001: ns/op is wall-clock by definition here; every reproducible
    output (fired/rearm/resident counts) derives only from the seeded
@@ -36,14 +41,6 @@ let durations_us =
      25_000.0; 50_000.0; 100_000.0; 250_000.0; 500_000.0 |]
 
 let pick_duration rng = Time_ns.of_us durations_us.(Prng.int rng (Array.length durations_us))
-
-(* O(n)-insert stores cannot reach millions of live timers in reasonable
-   time; cap them and say so rather than silently shrinking the arena. *)
-let population_cap name = match name with "sorted-list" -> 20_000 | _ -> max_int
-
-(* ...and even at the capped population their per-op cost is ~1000x the
-   others', so give them fewer ops too (ns/op is unaffected). *)
-let ops_cap name = match name with "sorted-list" -> 5_000 | _ -> max_int
 
 type metrics = {
   ns_per_op : float;
@@ -149,11 +146,12 @@ let run_cell (module M : Timer_store.S) ~which ~n ~ops ~seed =
   }
 
 let run_store (module M : Timer_store.S) ~n ~ops ~seed =
-  let n = min n (population_cap M.name) in
-  let ops = min ops (ops_cap M.name) in
   List.map
-    (fun which -> (which, n, ops, run_cell (module M) ~which ~n ~ops ~seed))
+    (fun which -> (which, run_cell (module M) ~which ~n ~ops ~seed))
     [ Schedule_fire; Rearm_churn; Cancel_churn ]
+
+(* The contract-determined counts of one cell. *)
+let counts m = (m.fired, m.rearms, m.final_pending)
 
 let () =
   let n = ref 1_000_000 in
@@ -190,27 +188,47 @@ let () =
     "| store | workload | live N | ops | ns/op | fired | rearms | max resident | final \
      pending | major MiB | words/timer |";
   line "|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|";
-  List.iter
-    (fun (module M : Timer_store.S) ->
-      if population_cap M.name < !n then
-        Printf.eprintf "note: %s capped at %d live timers (O(n) insertion)\n%!" M.name
-          (population_cap M.name);
-      List.iter
-        (fun (which, live, ops, m) ->
-          line "| %s | %s | %d | %d | %.0f | %d | %d | %d | %d | %.1f | %.1f |" M.name
-            (workload_name which) live ops m.ns_per_op m.fired m.rearms m.max_resident
-            m.final_pending m.major_mb m.words_per_timer)
-        (run_store (module M) ~n:!n ~ops:!ops ~seed:!seed);
-      (* One store's arena at a time: drop its millions of nodes before
-         building the next store's. *)
-      Gc.compact ())
-    Store_registry.all;
+  let run (module M : Timer_store.S) =
+    let results = run_store (module M) ~n:!n ~ops:!ops ~seed:!seed in
+    List.iter
+      (fun (which, m) ->
+        line "| %s | %s | %d | %d | %.0f | %d | %d | %d | %d | %.1f | %.1f |" M.name
+          (workload_name which) !n !ops m.ns_per_op m.fired m.rearms m.max_resident
+          m.final_pending m.major_mb m.words_per_timer)
+      results;
+    (* One store's arena at a time: drop its millions of nodes before
+       building the next store's. *)
+    Gc.compact ();
+    (M.name, results)
+  in
+  let exact = List.map run Store_registry.exact in
+  List.iter (fun s -> ignore (run s : string * _)) Store_registry.approximate;
   print_string (Buffer.contents buf);
-  match !out with
+  (match !out with
   | None -> ()
   | Some path ->
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () -> output_string oc (Buffer.contents buf));
-    Printf.printf "wrote %s\n" path
+    Printf.printf "wrote %s\n" path);
+  match exact with
+  | [] -> ()
+  | (name0, results0) :: rest ->
+    let bad = ref 0 in
+    List.iter
+      (fun (name, results) ->
+        List.iter2
+          (fun (which, m0) (_, m) ->
+            if counts m <> counts m0 then begin
+              incr bad;
+              Printf.eprintf
+                "arena self-check: %s %s fired/rearms/final pending %d/%d/%d, %s has %d/%d/%d\n"
+                name (workload_name which) m.fired m.rearms m.final_pending name0 m0.fired
+                m0.rearms m0.final_pending
+            end)
+          results0 results)
+      rest;
+    if !bad > 0 then exit 1;
+    Printf.printf "arena self-check: %d exact stores agree on fired, rearm and final-pending counts\n"
+      (List.length exact)

@@ -68,26 +68,6 @@ let pop_exn t =
 
 let clear t = t.size <- 0
 
-let filter_in_place t keep =
-  let j = ref 0 in
-  for i = 0 to t.size - 1 do
-    let x = t.data.(i) in
-    if keep x then begin
-      t.data.(!j) <- x;
-      incr j
-    end
-  done;
-  t.size <- !j;
-  (* Floyd heapify: restore the invariant bottom-up in O(n). *)
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done
-
-let iter_unordered t f =
-  for i = 0 to t.size - 1 do
-    f t.data.(i)
-  done
-
 let to_sorted_list t =
   (* Copy only the live prefix, not the heap's full capacity. *)
   let copy = { cmp = t.cmp; data = Array.sub t.data 0 t.size; size = t.size } in

@@ -1,10 +1,9 @@
 (** Array-based binary min-heap.
 
-    The heap is the backing store of the simulation event queue and of
-    the reference timer implementation that the timing wheel is tested
-    against.  Elements are ordered by the comparison supplied at
-    creation; ties are resolved arbitrarily (the event queue layers a
-    sequence number on top to obtain stable ordering). *)
+    The generic closure-compared heap: the baseline the engine's
+    specialized {!Eventq} is benchmarked against.  Elements are ordered
+    by the comparison supplied at creation; ties are resolved
+    arbitrarily. *)
 
 type 'a t
 
@@ -34,14 +33,6 @@ val pop_exn : 'a t -> 'a
 
 val clear : 'a t -> unit
 (** Remove all elements (keeps the backing array). *)
-
-val filter_in_place : 'a t -> ('a -> bool) -> unit
-(** Drop every element [keep] rejects, then restore the heap invariant
-    in place (Floyd heapify).  O(n); the lazy-cancellation compaction
-    choke point of the flag-cancelling timer backends. *)
-
-val iter_unordered : 'a t -> ('a -> unit) -> unit
-(** Visit every element in unspecified order. *)
 
 val to_sorted_list : 'a t -> 'a list
 (** Non-destructively extract all elements in ascending order.

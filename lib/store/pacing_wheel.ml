@@ -518,6 +518,9 @@ let words t =
 let handle_pending t h = valid t h
 let handle_deadline t h = if valid t h then Int64.of_int (s_at t (idx_of h)) else Time_ns.zero
 
+(* The levels are strictly ordered (past < level 1 < level 2 < far), so
+   the first non-empty one holds the minimum: the level-2 chain walk and
+   the far minimum are only read when every nearer level is empty. *)
 let next_deadline t =
   if t.count = 0 then None
   else begin
@@ -540,14 +543,14 @@ let next_deadline t =
        walk that one chain *)
     let cur2 = t.cur_tick / t.n1 in
     let idx2 = ffs_in_range t.occ2 ~from:((cur2 land (t.n2 - 1)) + 1) ~upto:(t.n2 - 1) in
-    if idx2 >= 0 then begin
+    if !best = max_int && idx2 >= 0 then begin
       let j = ref t.h2.(idx2) in
       while !j >= 0 do
         if s_at t !j < !best then best := s_at t !j;
         j := s_next t !j
       done
     end;
-    if t.far_n > 0 then begin
+    if !best = max_int && t.far_n > 0 then begin
       ensure_far_min t;
       if t.far_min < !best then best := t.far_min
     end;

@@ -1,11 +1,9 @@
 (** Every production timer store, by name.
 
-    The arena bench, the cross-backend equivalence suite and the CLI's
-    [--store] flag all draw from this one list:
+    The arena bench, the timer ablation, the cross-store equivalence
+    suite and the CLI's [--store] flag all draw from this one list:
 
     - ["wheel"] — the production hashed {!Timing_wheel} (512 slots);
-    - ["sorted-list"], ["binary-heap"], ["hierarchical-wheel"] — the
-      [Timer_backend] references, lifted via {!Timer_store.Of_base};
     - ["eventq"] — the engine slot-table technique ({!Eventq_store});
     - ["lawn"] — per-duration FIFO buckets ({!Lawn});
     - ["grouped-sorting"] — range-partitioned groups with in-place

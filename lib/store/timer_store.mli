@@ -1,6 +1,7 @@
-(** The pluggable pending-timer store: the [Timer_backend] operations
-    plus {e re-arm} (dynamic deadline update) and stable per-entry
-    handles.
+(** The pluggable pending-timer store, the one contract every store in
+    {!Store_registry} implements: schedule / cancel / earliest-deadline
+    check / batched expiry, plus {e re-arm} (dynamic deadline update)
+    and stable per-entry handles.
 
     The soft-timer clients that matter — TCP retransmit and delayed-ACK
     timers — re-arm far more often than they fire: every ACK pushes the
@@ -13,7 +14,7 @@
 
     {2 Semantics}
 
-    All implementations share one contract, enforced by the cross-backend
+    All implementations share one contract, enforced by the cross-store
     equivalence suite in [test/test_store.ml]:
 
     - [schedule] assigns each entry a fresh, monotonically increasing tie
@@ -111,12 +112,6 @@ end
 module Reference : S
 (** Naive model: an unordered list, linear everything.  The oracle the
     equivalence suite compares every real store against. *)
-
-module Of_base (_ : Timer_backend.S) : S
-(** Lift a [Timer_backend.S] (ground handles, no re-arm) into the full
-    signature.  Re-arm is implemented as base-level cancel + schedule
-    behind a stable wrapper cell; a generation stamp keeps a stale base
-    entry that was already extracted into a fire batch from firing. *)
 
 val wheel : ?slots:int -> unit -> (module S)
 (** The production {!Timing_wheel} with [slots] slots (default 512).

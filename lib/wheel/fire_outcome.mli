@@ -1,6 +1,6 @@
 (** Packed [(scanned, fired)] result of a [fire_due] call.
 
-    Every timer-store and wheel-backend [fire_due] returns one of
+    Every timer store's [fire_due] returns one of
     these: [scanned] is the number of due pending entries collected
     into the dispatch batch at call time, [fired] how many callbacks
     actually ran.  [fired < scanned] when the caller's [~limit] (the

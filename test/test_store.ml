@@ -1,4 +1,4 @@
-(* Cross-backend equivalence for every Timer_store implementation:
+(* Cross-store equivalence for every Timer_store implementation:
    each store is driven through random schedule / cancel / re-arm /
    advance interleavings — including callbacks that schedule, cancel and
    re-arm during fire_due — and must produce a trace identical to the
@@ -344,9 +344,8 @@ let test_fire_budget_keeps_minimum () =
         (M.next_deadline t))
 
 (* Regression (cancel-leak, store-wide): schedule/cancel churn of
-   far-future timers must not grow residency past the compaction bound.
-   This is the Sorted_list leak the issue names, checked on every
-   store. *)
+   far-future timers must not grow residency past the compaction bound,
+   checked on every store. *)
 let test_cancel_churn_bounded () =
   all_stores (fun (module M : Timer_store.S) ->
       let t = M.create ~tick:(us 10.0) () in
@@ -491,6 +490,37 @@ let test_pw_in_callback_rearm () =
     (match !seen with (dl, `Victim) :: _ -> Time_ns.(dl = us 30.0) | _ -> false);
   Alcotest.(check int) "nothing left" 0 (M.pending t)
 
+(* [next_deadline] reads only the first non-empty level: with a level-1
+   entry pending, the level-2 chain behind it is never walked, so a
+   query costs the same over 16 or 65,536 level-2 entries (a walk of
+   the whole chain makes the ratio about 4,000).  Process CPU time, min
+   of 3 runs of 10,000 queries, each floored at 1 ms so a coarse CPU
+   clock cannot fake a large ratio. *)
+let test_pw_next_deadline_first_level () =
+  let module M = Pacing_wheel in
+  let query_seconds level2 =
+    let t = M.create ~tick:(us 10.0) () in
+    ignore (M.schedule t ~at:(us 100.0) 0 : int M.handle);
+    (* 50 ms is tick 5,000: beyond the 4,096-tick level-1 epoch, so
+       every entry shares one level-2 bucket. *)
+    for i = 1 to level2 do
+      ignore (M.schedule t ~at:(us 50_000.0) i : int M.handle)
+    done;
+    Alcotest.(check (option int64)) "level-1 entry is the minimum" (Some (us 100.0))
+      (M.next_deadline t);
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = Sys.time () in
+      for _ = 1 to 10_000 do
+        ignore (M.next_deadline t : Time_ns.t option)
+      done;
+      best := Float.min !best (Sys.time () -. t0)
+    done;
+    Float.max !best 1e-3
+  in
+  let ratio = query_seconds 65_536 /. query_seconds 16 in
+  Alcotest.(check bool) (Printf.sprintf "query cost ratio %.1f < 16" ratio) true (ratio < 16.0)
+
 (* Determinism: the facility's observable behaviour — the full trace of
    soft_sched/soft_cancel/soft_fire events, digested — must not depend
    on which store backs it.  Runs a trigger-driven machine with a
@@ -562,6 +592,8 @@ let () =
           Alcotest.test_case "never-early quantization" `Quick test_pw_quantization;
           Alcotest.test_case "FFS epoch wraparound" `Quick test_pw_epoch_wraparound;
           Alcotest.test_case "in-callback rearm" `Quick test_pw_in_callback_rearm;
+          Alcotest.test_case "next_deadline reads the first level" `Quick
+            test_pw_next_deadline_first_level;
         ] );
       ("equivalence", List.map qc equivalence_tests);
       ("approx-equivalence", List.map qc approx_equivalence_tests);

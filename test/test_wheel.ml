@@ -267,136 +267,6 @@ let test_next_deadline_always_min =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Timer_backend: the same oracle, over all four backends. *)
-
-let backend_oracle (module B : Timer_backend.S) ops =
-  let w = B.create ~tick:(us 10.0) () in
-  let oracle : (Time_ns.t * int * bool ref) list ref = ref [] in
-  let handles : (int * B.handle * bool ref) list ref = ref [] in
-  let now = ref Time_ns.zero in
-  let next_id = ref 0 in
-  let ok = ref true in
-  List.iter
-    (fun op ->
-      match op with
-      | Schedule offset_us ->
-        let at = Time_ns.(!now + us (float_of_int offset_us)) in
-        let id = !next_id in
-        incr next_id;
-        let h = B.schedule w ~at id in
-        let alive = ref true in
-        oracle := (at, id, alive) :: !oracle;
-        handles := (id, h, alive) :: !handles
-      | Cancel idx -> begin
-        match List.nth_opt !handles (idx mod max 1 (List.length !handles)) with
-        | Some (_, h, alive) when !handles <> [] ->
-          B.cancel w h;
-          alive := false
-        | _ -> ()
-      end
-      | Advance d ->
-        now := Time_ns.(!now + us (float_of_int d));
-        let fired = ref [] in
-        ignore (B.fire_due w ~now:!now ~limit:max_int (fun due v -> fired := (due, v) :: !fired) : Fire_outcome.t);
-        let fired = List.rev !fired in
-        let expected =
-          !oracle
-          |> List.filter (fun (at, _, alive) -> !alive && Time_ns.(at <= !now))
-          |> List.map (fun (at, id, _) -> (at, id))
-          |> List.sort (fun (a, i) (b, j) ->
-                 let c = Time_ns.compare a b in
-                 if c <> 0 then c else compare i j)
-        in
-        oracle :=
-          List.filter (fun (at, _, alive) -> (not !alive) || Time_ns.(at > !now)) !oracle;
-        List.iter
-          (fun (_, id) ->
-            match List.find_opt (fun (i, _, _) -> i = id) !handles with
-            | Some (_, _, alive) -> alive := false
-            | None -> ())
-          expected;
-        if fired <> expected then ok := false)
-    ops;
-  let live = List.filter (fun (_, _, alive) -> !alive) !oracle in
-  let expected_min =
-    List.fold_left
-      (fun acc (at, _, _) -> match acc with None -> Some at | Some m -> Some (Time_ns.min m at))
-      None live
-  in
-  !ok && B.pending w = List.length live && B.next_deadline w = expected_min
-
-(* The hierarchical wheel's overflow list holds entries beyond 64^4
-   ticks; with a 100 ns tick that is ~1.7 s out. *)
-let test_hier_overflow_path () =
-  let module H = Timer_backend.Hier in
-  let w = H.create ~tick:100L () in
-  ignore (H.schedule w ~at:(Time_ns.of_sec 2.0) "overflow" : H.handle);
-  ignore (H.schedule w ~at:(us 50.0) "near" : H.handle);
-  Alcotest.(check (option int64)) "min is near" (Some (us 50.0)) (H.next_deadline w);
-  let fired = ref [] in
-  ignore (H.fire_due w ~now:(Time_ns.of_sec 0.5) ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-  Alcotest.(check (list string)) "near fires, overflow waits" [ "near" ] (List.rev !fired);
-  Alcotest.(check (option int64)) "overflow is the min now" (Some (Time_ns.of_sec 2.0))
-    (H.next_deadline w);
-  ignore (H.fire_due w ~now:(Time_ns.of_sec 3.0) ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-  Alcotest.(check (list string)) "overflow fires after cascades" [ "near"; "overflow" ]
-    (List.rev !fired);
-  Alcotest.(check int) "drained" 0 (H.pending w)
-
-(* Exercise fast_forward with long quiet gaps between sparse timers. *)
-let test_hier_long_gaps =
-  QCheck.Test.make ~name:"hier survives long idle gaps" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 20) (pair (int_range 0 5_000_000) (int_range 1 5_000_000)))
-    (fun ops ->
-      let module H = Timer_backend.Hier in
-      let w = H.create ~tick:(us 10.0) () in
-      let now = ref Time_ns.zero in
-      let scheduled = ref [] in
-      let fired = ref [] in
-      List.iter
-        (fun (offset_us, advance_us) ->
-          let at = Time_ns.(!now + us (float_of_int offset_us)) in
-          let id = List.length !scheduled in
-          ignore (H.schedule w ~at id : H.handle);
-          scheduled := (at, id) :: !scheduled;
-          now := Time_ns.(!now + us (float_of_int advance_us));
-          ignore (H.fire_due w ~now:!now ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t))
-        ops;
-      (* Drain everything far in the future; every entry must fire
-         exactly once. *)
-      now := Time_ns.(!now + Time_ns.of_sec 100_000.0);
-      ignore (H.fire_due w ~now:!now ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-      List.sort compare !fired = List.init (List.length !scheduled) Fun.id
-      && H.pending w = 0)
-
-let backend_tests =
-  List.map
-    (fun (module B : Timer_backend.S) ->
-      QCheck.Test.make
-        ~name:(Printf.sprintf "%s = sorted-list oracle" B.name)
-        ~count:150 ops_arbitrary
-        (fun ops -> backend_oracle (module B) ops))
-    Timer_backend.all
-
-let test_backends_basic () =
-  List.iter
-    (fun (module B : Timer_backend.S) ->
-      let w = B.create ~tick:(us 10.0) () in
-      ignore (B.schedule w ~at:(us 25.0) "a" : B.handle);
-      let h = B.schedule w ~at:(us 55.0) "b" in
-      ignore (B.schedule w ~at:(us 7_777.0) "far" : B.handle);
-      Alcotest.(check int) (B.name ^ " pending") 3 (B.pending w);
-      Alcotest.(check (option int64)) (B.name ^ " earliest") (Some (us 25.0)) (B.next_deadline w);
-      B.cancel w h;
-      let fired = ref [] in
-      ignore (B.fire_due w ~now:(us 100.0) ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-      Alcotest.(check (list string)) (B.name ^ " fires only a") [ "a" ] (List.rev !fired);
-      ignore (B.fire_due w ~now:(us 10_000.0) ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-      Alcotest.(check (list string)) (B.name ^ " far fires later") [ "a"; "far" ] (List.rev !fired);
-      Alcotest.(check int) (B.name ^ " drained") 0 (B.pending w))
-    Timer_backend.all
-
-(* ------------------------------------------------------------------ *)
 (* Allocation and work bounds of the soft-timer fast path.  In native
    code [Gc.minor_words] counts every allocated word exactly, so these
    bounds are deterministic.  Deadlines are boxed before measuring: the
@@ -530,9 +400,4 @@ let () =
           Alcotest.test_case "sweep visits occupied slots" `Quick test_sweep_visits_occupied_slots;
         ] );
       ("property", [ qc test_oracle_equivalence; qc test_next_deadline_always_min ]);
-      ( "backends",
-        Alcotest.test_case "basic semantics (all backends)" `Quick test_backends_basic
-        :: Alcotest.test_case "hier overflow path" `Quick test_hier_overflow_path
-        :: qc test_hier_long_gaps
-        :: List.map qc backend_tests );
     ]
