@@ -101,7 +101,6 @@ let () =
     "Shape: the hashed wheel (the paper's footnote-2 choice), eventq and\n\
      grouped sorting stay within a few microseconds per operation up to\n\
      N = 8192, the wheel growing least with N.  This mix draws every\n\
-     deadline from a continuous range, so Lawn creates a bucket per timer\n\
-     and, never dropping an emptied one, sweeps every duration seen so\n\
-     far: its weak spot, against the fixed timeout classes of the store\n\
-     arena."
+     deadline from a continuous range, so Lawn keeps a bucket per pending\n\
+     timer and sweeps them all: its weak spot, against the fixed timeout\n\
+     classes of the store arena."

@@ -22,32 +22,36 @@ let goodput (cfg : Exp_config.t) ~mode ~rate_pps =
   let the_nic () = match !nic_ref with Some n -> n | None -> assert false in
   (* Process a batch: first packet cold, rest warm; in hybrid mode, ask
      the NIC for more work when done and keep going. *)
+  let step ~first =
+    let attr = if first then a_rx_cold else a_rx_warm in
+    {
+      Kernel.prio = Cpu.prio_softintr;
+      work_us = (if first then process_us else process_us *. warm);
+      trigger = None;
+      attr;
+      entry_us = 0.0;
+      entry_attr = attr;
+    }
+  in
+  let cold = step ~first:true and warm = step ~first:false in
+  (* Actions: count a processed packet; at the batch's end, in hybrid
+     mode, poll on completion -- the drain hands us the next batch
+     through on_rx_batch; 0 means interrupts were re-enabled. *)
+  let act_processed = 0 and act_batch_done = 1 in
+  let act tag () =
+    if tag = act_processed then incr processed
+    else if mode = Hybrid then ignore (Nic.hybrid_done (the_nic ()) : int)
+  in
+  let scripts = Exec.pool machine ~act in
   let on_rx_batch _now batch =
-    let items =
-      List.concat
-        (List.mapi
-           (fun i _pkt ->
-             let cost = if i = 0 then process_us else process_us *. warm in
-             let attr = if i = 0 then a_rx_cold else a_rx_warm in
-             [
-               Exec.Quantum
-                 {
-                   Kernel.prio = Cpu.prio_softintr;
-                   work_us = cost;
-                   trigger = None;
-                   attr;
-                   entry_us = 0.0;
-                   entry_attr = attr;
-                 };
-               Exec.emit (fun _ -> incr processed);
-             ])
-           batch)
-    in
-    Exec.run machine items (fun _ ->
-        if mode = Hybrid then
-          (* Poll-on-completion: the drain hands us the next batch
-             through on_rx_batch; 0 means interrupts were re-enabled. *)
-          ignore (Nic.hybrid_done (the_nic ()) : int))
+    let s = Exec.script scripts in
+    List.iteri
+      (fun i _pkt ->
+        Exec.push s (if i = 0 then cold else warm);
+        Exec.push_act s act_processed ())
+      batch;
+    Exec.push_act s act_batch_done ();
+    Exec.run s
   in
   let nic =
     Nic.create machine ~name:"flood0" ~bandwidth_bps:1e9 ~wire_latency:(Time_ns.of_us 5.0)

@@ -64,10 +64,13 @@ val start_spl_sections :
     (callout processing, scheduler, console).  Only [spl_blockable]
     lines are affected. *)
 
-val raise_irq : t -> line -> ?handler_work:Time_ns.span -> unit -> bool
+val raise_irq : t -> line -> handler_work_us:float -> bool
 (** Assert the line.  Returns [false] when the interrupt was lost to
-    the latch limit.  [handler_work] is the device handler's own
-    processing time, default 0. *)
+    the latch limit.  [handler_work_us] is the device handler's own
+    processing time (negative counts as 0).  A delivery builds no
+    closure: each line has one completion, and a line raised again with
+    the same handler work under the same locality reuses its charged
+    span. *)
 
 val raised : line -> int
 (** Interrupts asserted on this line so far. *)

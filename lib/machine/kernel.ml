@@ -20,7 +20,8 @@ type step = {
 }
 
 (* A Profile.seq consumes its parts statefully, so it must be built
-   fresh for every submitted quantum — steps are reusable values. *)
+   fresh for every submitted quantum — steps are reusable values.
+   ALLOC002: profiling only; without a profiler this is [None]. *)
 let step_attr s =
   if Profile.enabled () then
     Some
@@ -28,6 +29,7 @@ let step_attr s =
          Profile.seq [ (s.entry_attr, Time_ns.of_us s.entry_us) ] ~tail:s.attr
        else s.attr)
   else None
+[@@lint.allow "ALLOC002"]
 
 let attr_of ~entry_us ~entry_attr ~attr =
   if Profile.enabled () && entry_us > 0.0 then
@@ -134,18 +136,3 @@ let step_ctx_switch m =
     entry_us = 0.0;
     entry_attr = a_ctx_switch;
   }
-
-(* One cursor per script, as in [Exec.run]: [next] continues every
-   step, so a script builds one closure and one ref whatever its
-   length. *)
-let run_script m steps k =
-  let rest = ref steps in
-  let rec next (_ : Time_ns.t) =
-    match !rest with
-    | [] -> k (Engine.now (Machine.engine m))
-    | s :: tl ->
-      rest := tl;
-      Machine.submit_quantum m ?attr:(step_attr s) ~prio:s.prio ~work_us:s.work_us
-        ~trigger:s.trigger next
-  in
-  next Time_ns.zero

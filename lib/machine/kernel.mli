@@ -3,10 +3,10 @@
 
     Workload models describe what a process does as a {e script}: a
     sequence of steps, each a priority + duration + optional trigger
-    kind.  Running a script submits the steps one after another, so
-    interrupts and higher-priority work interleave naturally between
-    steps — exactly the granularity at which real kernels reach trigger
-    states. *)
+    kind.  Running a script ({!Exec}) submits the steps one after
+    another, so interrupts and higher-priority work interleave naturally
+    between steps — exactly the granularity at which real kernels reach
+    trigger states. *)
 
 type step = {
   prio : int;
@@ -62,7 +62,3 @@ val step_ip_output : ?work_us:float -> Machine.t -> step
 
 val step_tcp_timer : ?work_us:float -> Machine.t -> step
 val step_ctx_switch : Machine.t -> step
-
-val run_script : Machine.t -> step list -> (Time_ns.t -> unit) -> unit
-(** Execute the steps in order (each step's completion submits the
-    next), then call the continuation. *)

@@ -119,8 +119,7 @@ let start_spl_sections t ?rate_per_sec ?duration_us ~seed () =
     ?duration_us ()
 
 let raise_irq t ln ?(handler_work_us = 0.0) () =
-  let handler_work = Time_ns.of_us (Float.max 0.0 handler_work_us) in
-  Interrupt.raise_irq (interrupts t) ln ~handler_work ()
+  Interrupt.raise_irq (interrupts t) ln ~handler_work_us
 
 (* Idle-loop machinery.  At most one idle CPU -- the checker (§5.2) --
    polls for soft-timer events and runs the idle measurement poll; the
@@ -146,6 +145,7 @@ let rec arm_idle_poll t epoch i =
              if checker_still t epoch i then arm_idle_poll t epoch i
            end)
         : Engine.handle)
+[@@lint.allow "ALLOC001"]
 
 let rec arm_idle_deadline t epoch i =
   match t.idle_deadline_fn with
@@ -165,9 +165,13 @@ let rec arm_idle_deadline t epoch i =
              end)
           : Engine.handle)
   end
+[@@lint.allow "ALLOC001"]
 
 (* Elect an idle CPU as the checker.  Bumping the epoch kills any chain
-   armed for a previous election, so re-entry can never double-arm. *)
+   armed for a previous election, so re-entry can never double-arm.
+   ALLOC001/2 here and in the two [arm_idle_*]: an election runs only
+   while some CPU idles (a checker exists), and its one-shot events are
+   per idle period, not per quantum or per soft-timer event. *)
 let assign_checker t =
   t.idle_epoch <- t.idle_epoch + 1;
   let epoch = t.idle_epoch in
@@ -182,6 +186,7 @@ let assign_checker t =
   | Some i ->
     arm_idle_poll t epoch i;
     arm_idle_deadline t epoch i
+[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]
 
 let on_idle t i _now =
   t.idle.(i) <- true;
@@ -235,7 +240,6 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
 let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
   if hz <= 0.0 then invalid_arg "Machine.add_periodic_timer: hz must be positive";
   let period = Time_ns.of_sec (1.0 /. hz) in
-  let handler_work = Time_ns.of_us handler_work_us in
   let ln =
     (* A fast-interrupt handler: serviced even inside spl sections, like
        the paper's null-handler measurement timer (Â§5.1). *)
@@ -243,7 +247,7 @@ let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
       ~latch_depth:1 ~handler ()
   in
   let rec tick () =
-    ignore (Interrupt.raise_irq (interrupts t) ln ~handler_work () : bool);
+    ignore (Interrupt.raise_irq (interrupts t) ln ~handler_work_us : bool);
     ignore (Engine.schedule_after t.engine period tick : Engine.handle)
   in
   ignore (Engine.schedule_after t.engine period tick : Engine.handle);

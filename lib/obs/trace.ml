@@ -107,16 +107,18 @@ let to_list t =
 
 (* Emitters.  Each one checks {!armed} before constructing the record,
    so a disabled trace costs one load and a branch.  ALLOC002 on [emit]
-   and the CPU emitters, which the machine's [@hot] roots reach:
-   records are built only while [armed]. *)
+   and the emitters that [@hot] roots reach (CPU, interrupt, trigger,
+   soft-timer schedule): records are built only while [armed]. *)
 let emit ~at ev =
   let c = Domain.DLS.get consumers in
   (match c.tap with None -> () | Some f -> f ~at ev);
   match c.sink with None -> () | Some t -> push t { at; ev }
 [@@lint.allow "ALLOC002"]
 
-let trigger ~at kind = if armed () then emit ~at (Trigger kind)
+let trigger ~at kind = if armed () then emit ~at (Trigger kind) [@@lint.allow "ALLOC002"]
+
 let soft_sched ~at ~id ~due = if armed () then emit ~at (Soft_sched { id; due })
+[@@lint.allow "ALLOC002"]
 
 let soft_fire ~at ~id ~due =
   if armed () then emit ~at (Soft_fire { id; due; delay = Time_ns.(at - due) })
@@ -130,8 +132,11 @@ let cpu_run ~at ~cpu ~klass ~dur =
   if armed () then emit ~at (Cpu_run { cpu; klass; dur })
 [@@lint.allow "ALLOC002"]
 let irq ~at ~line ~cpu ~dur = if armed () then emit ~at (Irq { line; cpu; dur })
+[@@lint.allow "ALLOC002"]
 let irq_raised ~at ~line = if armed () then emit ~at (Irq_raised { line })
+[@@lint.allow "ALLOC002"]
 let irq_lost ~at ~line = if armed () then emit ~at (Irq_lost { line })
+[@@lint.allow "ALLOC002"]
 let cpu_busy ~at ~cpu = if armed () then emit ~at (Cpu_busy { cpu }) [@@lint.allow "ALLOC002"]
 let cpu_idle ~at ~cpu = if armed () then emit ~at (Cpu_idle { cpu }) [@@lint.allow "ALLOC002"]
 let pkt_enqueue ~at ~nic ~qlen = if armed () then emit ~at (Pkt_enqueue { nic; qlen })

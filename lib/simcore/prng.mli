@@ -26,8 +26,17 @@ val copy : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** The 53 high bits of the next raw output, as an immediate int in
+    [\[0, 2^53)].  [float t] is exactly [Float.of_int (bits53 t) *.
+    0x1.0p-53]; a caller in another module that builds the float itself
+    avoids the box a returned float costs. *)
+
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)]. *)
+
+val chance : t -> float -> bool
+(** [chance t p] is [float t < p]: true with probability [p]. *)
 
 val float_range : t -> float -> float -> float
 (** [float_range t lo hi] is uniform in [\[lo, hi)].

@@ -1,6 +1,7 @@
 module Online = struct
-  type t = {
-    mutable n : int;
+  (* The float moments sit in an all-float record, stored flat, so [add]
+     updates them in place without boxing. *)
+  type moments = {
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
@@ -8,52 +9,62 @@ module Online = struct
     mutable sum : float;
   }
 
-  let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
+  type t = { mutable n : int; m : moments }
 
+  let create () =
+    { n = 0; m = { mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; sum = 0.0 } }
+
+  (* ALLOC003: [moments] is all-float, so these stores are unboxed. *)
   let add t x =
+    let m = t.m in
     t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x;
-    t.sum <- t.sum +. x
+    let delta = x -. m.mean in
+    m.mean <- m.mean +. (delta /. float_of_int t.n);
+    m.m2 <- m.m2 +. (delta *. (x -. m.mean));
+    if x < m.min then m.min <- x;
+    if x > m.max then m.max <- x;
+    m.sum <- m.sum +. x
+  [@@lint.allow "ALLOC003"]
 
   let clear t =
+    let m = t.m in
     t.n <- 0;
-    t.mean <- 0.0;
-    t.m2 <- 0.0;
-    t.min <- infinity;
-    t.max <- neg_infinity;
-    t.sum <- 0.0
+    m.mean <- 0.0;
+    m.m2 <- 0.0;
+    m.min <- infinity;
+    m.max <- neg_infinity;
+    m.sum <- 0.0
 
   let count t = t.n
-  let mean t = if t.n = 0 then nan else t.mean
-  let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
+  let mean t = if t.n = 0 then nan else t.m.mean
+  let variance t = if t.n < 2 then nan else t.m.m2 /. float_of_int (t.n - 1)
   let stddev t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
-  let sum t = t.sum
+  let min t = t.m.min
+  let max t = t.m.max
+  let sum t = t.m.sum
 
   let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
+    if a.n = 0 then { n = b.n; m = { b.m with mean = b.m.mean } }
+    else if b.n = 0 then { n = a.n; m = { a.m with mean = a.m.mean } }
     else begin
       let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
+      let a' = a.m and b' = b.m in
+      let delta = b'.mean -. a'.mean in
+      let mean = a'.mean +. (delta *. float_of_int b.n /. float_of_int n) in
       let m2 =
-        a.m2 +. b.m2
+        a'.m2 +. b'.m2
         +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
       in
       {
         n;
-        mean;
-        m2;
-        min = Float.min a.min b.min;
-        max = Float.max a.max b.max;
-        sum = a.sum +. b.sum;
+        m =
+          {
+            mean;
+            m2;
+            min = Float.min a'.min b'.min;
+            max = Float.max a'.max b'.max;
+            sum = a'.sum +. b'.sum;
+          };
       }
     end
 end

@@ -24,6 +24,7 @@ and 'a bucket = {
 type 'a t = {
   tbl : (Time_ns.span, 'a bucket) Hashtbl.t;  (* lookup only (DET004) *)
   mutable buckets_rev : 'a bucket list;  (* creation order, reversed *)
+  mutable nbuckets : int;  (* length of [buckets_rev] *)
   mutable last_now : Time_ns.t;
   mutable count : int;
   mutable next_seq : int;
@@ -38,6 +39,7 @@ let create ~tick () =
   {
     tbl = Hashtbl.create 16;
     buckets_rev = [];
+    nbuckets = 0;
     last_now = Time_ns.zero;
     count = 0;
     next_seq = 0;
@@ -57,6 +59,7 @@ let bucket_for t dur =
     let b = { bdur = dur; bhead = None; btail = None } in
     Hashtbl.replace t.tbl dur b;
     t.buckets_rev <- b :: t.buckets_rev;
+    t.nbuckets <- t.nbuckets + 1;
     b
 
 (* Append at the tail.  Within a bucket, deadlines are non-decreasing in
@@ -167,7 +170,7 @@ let resident t = t.count  (* cancellation unlinks physically: no corpses *)
    + per linked node: record (8) + boxed deadline (3) + on average two
    [Some] link boxes pointing at it (4). *)
 let words t =
-  8 + 22 + 6 + (14 * List.length t.buckets_rev) + (15 * t.count)
+  8 + 22 + 6 + (14 * t.nbuckets) + (15 * t.count)
 
 let handle_pending _t n = n.nstate <> Done
 let handle_deadline _t n = n.nat
@@ -207,6 +210,44 @@ let next_deadline t =
       t.min_valid <- true;
       Some m
     | None -> None  (* unreachable: count > 0 implies a linked node *)
+  end
+
+(* Emptied duration buckets are dropped once they outnumber the occupied
+   ones, past a floor of [prune_floor] buckets.  Every sweep and minimum
+   scan walks each bucket, so a store that keeps seeing new durations
+   would otherwise pay for every duration it has ever seen.  A dropped
+   duration gets a fresh bucket if it comes back; buckets hold no order
+   across one another, so nothing observable changes. *)
+let prune_floor = 64
+
+let is_empty b = match b.bhead with None -> true | Some _ -> false
+
+let rec count_occupied n bs =
+  match bs with
+  | [] -> n
+  | b :: rest -> count_occupied (if is_empty b then n else n + 1) rest
+
+(* The occupied buckets of [bs], in order; the emptied ones leave the
+   lookup table.  ALLOC002: the kept list is rebuilt once per prune,
+   which runs only when empty buckets outnumber the occupied ones. *)
+let rec drop_empty t bs =
+  match bs with
+  | [] -> []
+  | b :: rest ->
+    if is_empty b then begin
+      Hashtbl.remove t.tbl b.bdur;
+      drop_empty t rest
+    end
+    else b :: drop_empty t rest
+[@@lint.allow "ALLOC002"]
+
+let prune_empty t =
+  if t.nbuckets > prune_floor then begin
+    let occupied = count_occupied 0 t.buckets_rev in
+    if t.nbuckets - occupied > occupied then begin
+      t.buckets_rev <- drop_empty t t.buckets_rev;
+      t.nbuckets <- occupied
+    end
   end
 
 (* ALLOC001/2: snapshot-batch contract (timer_store.mli) — due nodes
@@ -287,5 +328,6 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   (* A callback may have cached a minimum taken while these nodes were
      out of their buckets. *)
   (match !withheld with [] -> () | _ :: _ -> t.min_valid <- false);
+  prune_empty t;
   Fire_outcome.pack ~scanned ~fired:!fired
 [@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]

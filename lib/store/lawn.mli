@@ -14,8 +14,9 @@
     paper targets, where every connection uses the same handful of
     timeout constants.  Its weak spot is many {e distinct} durations:
     the earliest-deadline query and expiry sweep are linear in the
-    number of buckets ever seen (buckets are never deleted; there is one
-    per distinct duration).
+    number of buckets (one per distinct duration still held; emptied
+    buckets are dropped at the end of a [fire_due] once they outnumber
+    the occupied ones, past a floor of 64).
 
     Conforms to the {!Timer_store.S} contract; see [timer_store.mli] for
     the fire/re-arm semantics. *)

@@ -54,6 +54,31 @@ type wkind =
 
 type wmeta = { conn : int; wkind : wkind }
 
+(* Each connection's metadata values are built once (they are
+   immutable, so every packet of that kind shares one): the fixed kinds
+   first, then one per data segment. *)
+let fixed_kinds = [ Syn; Synack; Handshake_ack; Get; Ack_small; Data_ack; Fin; Fin_ack; Last_ack ]
+let n_fixed = List.length fixed_kinds
+
+let meta_slot = function
+  | Syn -> 0
+  | Synack -> 1
+  | Handshake_ack -> 2
+  | Get -> 3
+  | Ack_small -> 4
+  | Data_ack -> 5
+  | Fin -> 6
+  | Fin_ack -> 7
+  | Last_ack -> 8
+  | Data i -> n_fixed + i
+
+let conn_metas conn ~data_packets =
+  let metas = Array.make (n_fixed + data_packets) { conn; wkind = Syn } in
+  List.iter
+    (fun wkind -> metas.(meta_slot wkind) <- { conn; wkind })
+    (fixed_kinds @ List.init data_packets (fun i -> Data i));
+  metas
+
 (* ------------------------------------------------------------------ *)
 (* The request anatomy: every duration in microseconds at 300 MHz      *)
 (* (Kernel steps rescale them to the machine's profile).               *)
@@ -182,6 +207,23 @@ type conn_client_state = {
   mutable reqs_left : int;
 }
 
+(* The step templates of the server's scripts, built once per machine.
+   [syscall] and [user] carry a drawn body ({!Exec.push_body}); the rest
+   run for their own [work_us]. *)
+type steps = {
+  syscall : Kernel.step;
+  user : Kernel.step;
+  trap : Kernel.step;
+  ctx_switch : Kernel.step;
+  ip_output : Kernel.step;
+  ip_output_in_handler : Kernel.step;
+  conn_setup : Kernel.step;
+  socket_copy : Kernel.step;
+  pcb_alloc : Kernel.step;
+  teardown_user : Kernel.step;
+  rx : Kernel.step array;  (* [rx_step ~first ~tcpip] *)
+}
+
 type t = {
   cfg : config;
   anatomy : anatomy;
@@ -192,12 +234,19 @@ type t = {
   rng : Prng.t;
   nics : wmeta Nic.t array;
   clients : conn_client_state array;
+  metas : wmeta array array;  (* [metas.(conn).(meta_slot wkind)] *)
+  steps : steps;
+  scripts : wmeta Packet.t Exec.pool;
+  draw_tpl : Kernel.step array;  (* drawn bodies awaiting their slot *)
+  draw_us : Float.Array.t;
   mutable completed : int;
   mutable measuring : bool;
   mutable measured : int;
   mutable measure_span : Time_ns.span;
   (* pacing *)
-  pace_queue : (Time_ns.t -> unit) Queue.t;
+  pace_queue : wmeta Packet.t Queue.t;
+  pace_touch_us : float;  (* handler cost of each soft pacing event *)
+  mutable pace_handler : Time_ns.t -> unit;  (* built once, in [create] *)
   mutable pace_in_train : bool;
   mutable pace_last : Time_ns.t;
   mutable pace_sends : int;
@@ -222,10 +271,14 @@ let rx_packets t = Array.fold_left (fun acc nic -> acc + Nic.rx_packets nic) 0 t
 let rx_batches t = Array.fold_left (fun acc nic -> acc + Nic.rx_batches nic) 0 t.nics
 
 let small_packet t conn wkind =
-  Packet.create ~size_bytes:64 ~meta:{ conn; wkind } ~born:(Engine.now t.engine)
+  Packet.create ~size_bytes:64
+    ~meta:t.metas.(conn).(meta_slot wkind)
+    ~born:(Engine.now t.engine)
 
 let data_packet t conn i =
-  Packet.create ~size_bytes:1500 ~meta:{ conn; wkind = Data i } ~born:(Engine.now t.engine)
+  Packet.create ~size_bytes:1500
+    ~meta:t.metas.(conn).(n_fixed + i)
+    ~born:(Engine.now t.engine)
 
 let nic_of t conn = t.nics.(conn mod Array.length t.nics)
 
@@ -263,138 +316,188 @@ let step_kernel_work ?(attr = a_kernel_work) m ~work_us =
     entry_attr = attr;
   }
 
-let syscall_steps t n body =
-  List.init n (fun _ -> Exec.quantum (Kernel.step_syscall ~work_us:(Dist.draw body t.rng) t.machine))
-
-let interleave xs ys =
-  (* x1 y1 x2 y2 ... with leftovers appended *)
-  let rec go acc xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: xs, y :: ys -> go (y :: x :: acc) xs ys
+(* Input protocol processing of one received packet: the first of a
+   batch pays the full per-packet cost, the rest run warm (aggregation
+   benefit, §5.9).  In interrupt mode the batch is processed from a
+   software interrupt: its dispatch and the cold-cache protocol
+   processing cost extra compared with polled processing, which runs in
+   an already-locality-shifted trigger state (the paper's §4.2
+   argument). *)
+let rx_steps cfg a =
+  let intr_mode = match cfg.net with Interrupts -> true | Soft_polling _ -> false in
+  let softintr_surcharge =
+    if intr_mode then 2.5 +. (2.0 *. a.locality.Cache.sensitivity) else 0.0
   in
-  go [] xs ys
+  let rx ~first ~tcpip =
+    let attr = if first then a_rx_cold else a_rx_warm in
+    {
+      Kernel.prio = Cpu.prio_softintr;
+      work_us =
+        (if first then a.rx_process_us +. softintr_surcharge
+         else a.rx_process_us *. a.locality.Cache.warm_fraction);
+      trigger = (if tcpip then Some Trigger.Tcpip_other else None);
+      attr;
+      entry_us = 0.0;
+      entry_attr = attr;
+    }
+  in
+  [| rx ~first:false ~tcpip:false; rx ~first:false ~tcpip:true;
+     rx ~first:true ~tcpip:false; rx ~first:true ~tcpip:true |]
 
-let user_steps t n dist =
-  List.init n (fun _ ->
-      Exec.quantum (Kernel.step_user t.machine ~work_us:(Dist.draw dist t.rng)))
+let rx_step t ~first ~tcpip =
+  t.steps.rx.((if first then 2 else 0) + if tcpip then 1 else 0)
 
-(* Transmit one packet: the IP output loop's work and trigger state,
-   then the wire. *)
-let tx_items t conn pkt =
-  [
-    Exec.quantum (Kernel.step_ip_output t.machine);
-    Exec.emit (fun _now -> Nic.transmit (nic_of t conn) pkt);
-  ]
-
-let pace_record t now =
-  if t.pace_in_train then
-    Stats.Sample.add t.pace_intervals (Time_ns.to_us Time_ns.(now - t.pace_last));
-  t.pace_last <- now;
-  t.pace_sends <- t.pace_sends + 1
-
-(* One paced transmission: pop a pending packet, account the interval,
-   transmit.  Returns false when nothing is pending. *)
-let pace_send t now =
-  match Queue.take_opt t.pace_queue with
-  | None ->
-    t.pace_in_train <- false;
-    false
-  | Some do_tx ->
-    pace_record t now;
-    t.pace_in_train <- not (Queue.is_empty t.pace_queue);
-    do_tx now;
-    true
-
-(* Transmission performed from inside a timer handler: the IP output
-   work is charged, but it happens within the handler's context rather
-   than ending in a fresh trigger state of its own. *)
-let tx_items_in_handler t conn pkt =
-  [
-    Exec.quantum
+let make_steps cfg a m =
+  {
+    syscall = Kernel.step_syscall ~work_us:0.0 m;
+    user = Kernel.step_user m ~work_us:0.0;
+    trap = Kernel.step_trap m;
+    ctx_switch = Kernel.step_ctx_switch m;
+    ip_output = Kernel.step_ip_output m;
+    (* Transmission performed from inside a timer handler: the IP
+       output work is charged, but it happens within the handler's
+       context rather than ending in a fresh trigger state of its own. *)
+    ip_output_in_handler =
       {
         Kernel.prio = Cpu.prio_kernel;
-        work_us = Costs.scale_us (Machine.profile t.machine) 7.0;
+        work_us = Costs.scale_us (Machine.profile m) 7.0;
         trigger = None;
         attr = a_ip_output_handler;
         entry_us = 0.0;
         entry_attr = a_ip_output_handler;
       };
-    Exec.emit (fun _now -> Nic.transmit (nic_of t conn) pkt);
-  ]
+    conn_setup = step_kernel_work ~attr:a_conn_setup m ~work_us:a.setup_kernel_extra_us;
+    socket_copy = step_kernel_work ~attr:a_socket_copy m ~work_us:a.copy_per_packet_us;
+    pcb_alloc = step_kernel_work m ~work_us:14.0;
+    teardown_user = Kernel.step_user m ~work_us:a.teardown_user_us;
+    rx = rx_steps cfg a;
+  }
 
-(* Emission of a data packet: inline, or deferred through the pacer. *)
-let data_tx_item t conn i =
-  match t.cfg.pacing with
-  | No_pacing -> tx_items t conn (data_packet t conn i)
-  | Soft_pacing | Hw_pacing _ ->
-    [
-      Exec.emit
-        (fun _now ->
-          let pkt = data_packet t conn i in
-          Queue.add
-            (fun _send_time -> Exec.run t.machine (tx_items_in_handler t conn pkt) ignore)
-            t.pace_queue);
-    ]
+(* Action tags of the server's scripts; every operand is a packet. *)
+let act_transmit = 0  (* onto its connection's wire *)
+let act_pace = 1  (* into the pacer's queue *)
+let act_dispatch = 2  (* server-side handling of a received packet *)
 
-let write_phase_items t conn =
+(* Transmit one packet: the IP output loop's work and trigger state,
+   then the wire. *)
+let[@hot] push_tx t s pkt =
+  Exec.push s t.steps.ip_output;
+  Exec.push_act s act_transmit pkt
+
+let[@hot] push_syscalls t s n body =
+  for _ = 1 to n do
+    Exec.push_body s t.steps.syscall (Dist.draw body t.rng)
+  done
+
+(* The drawn bodies of the interleaving x1 y1 x2 y2 ... (leftovers
+   appended), stored from [at] in slot order.  Every [ys] body is drawn
+   before the first [xs] body: the generator order every recorded
+   result depends on. *)
+let[@hot] draw_interleaved t ~at xtpl nx xd ytpl ny yd =
+  let m = Int.min nx ny in
+  for k = 0 to ny - 1 do
+    let j = if k < m then at + (2 * k) + 1 else at + (2 * m) + (k - m) in
+    t.draw_tpl.(j) <- ytpl;
+    Float.Array.set t.draw_us j (Dist.draw yd t.rng)
+  done;
+  for k = 0 to nx - 1 do
+    let j = if k < m then at + (2 * k) else at + (2 * m) + (k - m) in
+    t.draw_tpl.(j) <- xtpl;
+    Float.Array.set t.draw_us j (Dist.draw xd t.rng)
+  done
+
+let[@hot] push_drawn t s ~at n =
+  for j = at to at + n - 1 do
+    Exec.push_body s t.draw_tpl.(j) (Float.Array.get t.draw_us j)
+  done
+
+let pace_record t now =
+  if t.pace_in_train then
+    (* [Time_ns.to_us (now - pace_last)], with the arithmetic kept
+       unboxed. *)
+    Stats.Sample.add t.pace_intervals (Int64.to_float (Int64.sub now t.pace_last) /. 1e3)
+  [@lint.allow "ALLOC003"];
+  t.pace_last <- now;
+  t.pace_sends <- t.pace_sends + 1
+
+(* One paced transmission: pop a pending packet, account the interval,
+   transmit from the handler's context.  Returns false when nothing is
+   pending. *)
+let[@hot] pace_send t now =
+  if Queue.is_empty t.pace_queue then begin
+    t.pace_in_train <- false;
+    false
+  end
+  else begin
+    let pkt = Queue.take t.pace_queue in
+    pace_record t now;
+    t.pace_in_train <- not (Queue.is_empty t.pace_queue);
+    let s = Exec.script t.scripts in
+    Exec.push s t.steps.ip_output_in_handler;
+    Exec.push_act s act_transmit pkt;
+    Exec.run s;
+    true
+  end
+
+(* The write phase: a write(2) per [writev_every] packets, the socket
+   copy, and the packet itself, inline or deferred through the pacer.
+   Its syscall bodies are the last draws of a request.  An inline data
+   packet goes onto the wire just before, not after, the IP output
+   quantum that charges its work: the order the simulation has always
+   had, kept so every result stays byte-identical. *)
+let[@hot] push_write_phase t s conn =
   let a = t.anatomy in
-  let items = ref [] in
   for i = 0 to a.data_packets - 1 do
     if i mod a.writev_every = 0 then
-      items :=
-        Exec.quantum (Kernel.step_syscall ~work_us:(Dist.draw a.pre_syscall_body t.rng) t.machine)
-        :: !items;
-    items :=
-      Exec.quantum
-        (step_kernel_work ~attr:a_socket_copy t.machine ~work_us:a.copy_per_packet_us)
-      :: !items;
-    items := List.rev_append (List.rev (data_tx_item t conn i)) !items
-  done;
-  List.rev !items
+      Exec.push_body s t.steps.syscall (Dist.draw a.pre_syscall_body t.rng);
+    Exec.push s t.steps.socket_copy;
+    match t.cfg.pacing with
+    | No_pacing ->
+      Exec.push_act s act_transmit (data_packet t conn i);
+      Exec.push s t.steps.ip_output
+    | Soft_pacing | Hw_pacing _ -> Exec.push_act s act_pace (data_packet t conn i)
+  done
 
-let maybe_trap t p =
-  if Prng.float t.rng < p then [ Exec.quantum (Kernel.step_trap t.machine) ] else []
-
-let ctx_steps t n = List.init n (fun _ -> Exec.quantum (Kernel.step_ctx_switch t.machine))
-
-(* The application-level handling of one GET. *)
-let request_items t conn =
+(* The application-level handling of one GET: a context switch in,
+   the pre-write syscalls and user segments, the write phase, window
+   updates around the post-write segments, the rest of the context
+   switches.  Draw order: pre syscalls, pre users, post users, post
+   syscalls, then the write phase. *)
+let[@hot] push_request t s conn =
   let a = t.anatomy in
-  let pre =
-    interleave (user_steps t a.pre_user_segments a.pre_user) (syscall_steps t a.pre_syscalls a.pre_syscall_body)
-  in
-  let post =
-    interleave (syscall_steps t a.post_syscalls a.post_syscall_body) (user_steps t a.post_user_segments a.post_user)
-  in
-  let ctx = ctx_steps t a.request_ctx_switches in
-  let ctx_in, ctx_out =
-    match ctx with [] -> ([], []) | [ c ] -> ([ c ], []) | c1 :: rest -> ([ c1 ], rest)
-  in
-  let window_update =
-    if a.window_updates >= 1 then tx_items t conn (small_packet t conn Ack_small) else []
-  in
-  let window_update2 =
-    if a.window_updates >= 2 then tx_items t conn (small_packet t conn Ack_small) else []
-  in
-  ctx_in @ pre @ write_phase_items t conn @ window_update @ post @ window_update2 @ ctx_out
+  let npre = a.pre_user_segments + a.pre_syscalls in
+  draw_interleaved t ~at:0 t.steps.user a.pre_user_segments a.pre_user t.steps.syscall
+    a.pre_syscalls a.pre_syscall_body;
+  draw_interleaved t ~at:npre t.steps.syscall a.post_syscalls a.post_syscall_body
+    t.steps.user a.post_user_segments a.post_user;
+  if a.request_ctx_switches >= 1 then Exec.push s t.steps.ctx_switch;
+  push_drawn t s ~at:0 npre;
+  push_write_phase t s conn;
+  if a.window_updates >= 1 then push_tx t s (small_packet t conn Ack_small);
+  push_drawn t s ~at:npre (a.post_syscalls + a.post_user_segments);
+  if a.window_updates >= 2 then push_tx t s (small_packet t conn Ack_small);
+  for _ = 2 to a.request_ctx_switches do
+    Exec.push s t.steps.ctx_switch
+  done
 
-let setup_items t =
+(* Connection setup once the application accepts.  Draw order: the
+   page-fault coin, the syscall bodies, the user segments. *)
+let[@hot] push_setup t s =
   let a = t.anatomy in
-  ctx_steps t (match t.cfg.kind with Apache -> 1 | Flash -> 0)
-  @ interleave (user_steps t a.setup_user_segments a.setup_user) (syscall_steps t a.setup_syscalls a.setup_syscall_body)
-  @ [
-      Exec.quantum
-        (step_kernel_work ~attr:a_conn_setup t.machine ~work_us:a.setup_kernel_extra_us);
-    ]
-  @ maybe_trap t a.setup_traps
+  let trap = Prng.chance t.rng a.setup_traps in
+  (match t.cfg.kind with Apache -> Exec.push s t.steps.ctx_switch | Flash -> ());
+  draw_interleaved t ~at:0 t.steps.user a.setup_user_segments a.setup_user t.steps.syscall
+    a.setup_syscalls a.setup_syscall_body;
+  push_drawn t s ~at:0 (a.setup_user_segments + a.setup_syscalls);
+  Exec.push s t.steps.conn_setup;
+  if trap then Exec.push s t.steps.trap
 
-let teardown_items t conn =
+let[@hot] push_teardown t s conn =
   let a = t.anatomy in
-  tx_items t conn (small_packet t conn Ack_small)
-  @ syscall_steps t a.teardown_syscalls a.teardown_syscall_body
-  @ [ Exec.quantum (Kernel.step_user t.machine ~work_us:a.teardown_user_us) ]
-  @ tx_items t conn (small_packet t conn Fin_ack)
+  push_tx t s (small_packet t conn Ack_small);
+  push_syscalls t s a.teardown_syscalls a.teardown_syscall_body;
+  Exec.push s t.steps.teardown_user;
+  push_tx t s (small_packet t conn Fin_ack)
 
 (* ------------------------------------------------------------------ *)
 (* Client behaviour (runs on the client machines: pure engine events). *)
@@ -444,72 +547,76 @@ and start_connection t conn =
 (* ------------------------------------------------------------------ *)
 (* Server-side packet dispatch (after input protocol processing).      *)
 
-let server_dispatch t pkt =
+let[@hot] server_dispatch t pkt =
   let conn = pkt.Packet.meta.conn in
   match pkt.Packet.meta.wkind with
   | Syn ->
     (* PCB allocation + SYN-ACK transmission. *)
-    Exec.run t.machine
-      (Exec.quantum (step_kernel_work t.machine ~work_us:14.0)
-       :: tx_items t conn (small_packet t conn Synack))
-      ignore
+    let s = Exec.script t.scripts in
+    Exec.push s t.steps.pcb_alloc;
+    push_tx t s (small_packet t conn Synack);
+    Exec.run s
   | Handshake_ack ->
     (* Completes the handshake; connection setup work happens when the
        server application accepts. *)
-    Exec.run t.machine (setup_items t) ignore
+    let s = Exec.script t.scripts in
+    push_setup t s;
+    Exec.run s
   | Get ->
     (* TCP ACKs the request, then the application handles it. *)
-    Exec.run t.machine
-      (tx_items t conn (small_packet t conn Ack_small) @ request_items t conn)
-      ignore
+    let s = Exec.script t.scripts in
+    push_tx t s (small_packet t conn Ack_small);
+    push_request t s conn;
+    Exec.run s
   | Data_ack -> ()
-  | Fin -> Exec.run t.machine (teardown_items t conn) ignore
+  | Fin ->
+    let s = Exec.script t.scripts in
+    push_teardown t s conn;
+    Exec.run s
   | Last_ack -> ()
   | Synack | Ack_small | Data _ | Fin_ack ->
     (* Client-bound kinds never reach the server. *)
     ()
 
-(* Input protocol processing of one received batch: the first packet
-   pays the full per-packet cost, the rest run warm (aggregation
-   benefit, §5.9). *)
-let on_rx_batch t _now batch =
-  let a = t.anatomy in
-  (* In interrupt mode the batch is processed from a software interrupt:
-     its dispatch and the cold-cache protocol processing cost extra
-     compared with polled processing, which runs in an
-     already-locality-shifted trigger state (the paper's Â§4.2
-     argument). *)
-  let intr_mode = match t.cfg.net with Interrupts -> true | Soft_polling _ -> false in
-  let softintr_surcharge =
-    if intr_mode then 2.5 +. (2.0 *. a.locality.Cache.sensitivity) else 0.0
-  in
-  let items =
-    List.concat
-      (List.mapi
-         (fun i pkt ->
-           let cost =
-             if i = 0 then a.rx_process_us +. softintr_surcharge
-             else a.rx_process_us *. a.locality.Cache.warm_fraction
-           in
-           let trigger =
-             if Prng.float t.rng < a.p_tcpip_trigger then Some Trigger.Tcpip_other else None
-           in
-           let attr = if i = 0 then a_rx_cold else a_rx_warm in
-           [
-             Exec.Quantum
-               {
-                 Kernel.prio = Cpu.prio_softintr;
-                 work_us = cost;
-                 trigger;
-                 attr;
-                 entry_us = 0.0;
-                 entry_attr = attr;
-               };
-             Exec.emit (fun _ -> server_dispatch t pkt);
-           ])
-         batch)
-  in
-  Exec.run t.machine items ignore
+(* The scripts' actions. *)
+let server_act t tag pkt =
+  if tag = act_transmit then Nic.transmit (nic_of t pkt.Packet.meta.conn) pkt
+  else if tag = act_pace then Queue.add pkt t.pace_queue
+  else server_dispatch t pkt
+
+(* Input protocol processing of one received batch, each packet's
+   quantum followed by its dispatch; a quantum ends in one of the
+   network subsystem's additional trigger states with probability
+   [p_tcpip_trigger] (§5.2). *)
+let[@hot] rec push_rx t s ~first batch =
+  match batch with
+  | [] -> ()
+  | pkt :: tl ->
+    let tcpip = Prng.chance t.rng t.anatomy.p_tcpip_trigger in
+    Exec.push s (rx_step t ~first ~tcpip);
+    Exec.push_act s act_dispatch pkt;
+    push_rx t s ~first:false tl
+
+let[@hot] on_rx_batch t _now batch =
+  let s = Exec.script t.scripts in
+  push_rx t s ~first:true batch;
+  Exec.run s
+
+let nop (_ : Time_ns.t) = ()
+let pace_touch_attr = Some a_pace_touch
+
+(* Soft pacing: a soft-timer event at every trigger state; transmit one
+   packet whenever the handler runs and a packet is pending (the
+   paper's rate-clocking overhead experiment).  Each invocation touches
+   the pacing and TCP state, whose cache footprint costs more on a
+   locality-sensitive server - the residual 2-6% overhead of the
+   paper's Table 3.  The handler re-arms itself: [pace_handler] is this
+   function's one closure. *)
+let[@hot] on_pace t st now =
+  Machine.submit_quantum t.machine ?attr:pace_touch_attr ~prio:Cpu.prio_intr
+    ~work_us:t.pace_touch_us ~trigger:None nop;
+  ignore (pace_send t now : bool);
+  ignore (Softtimer.schedule_soft_event st ~ticks:0L t.pace_handler : Softtimer.handle)
 
 (* ------------------------------------------------------------------ *)
 
@@ -568,6 +675,14 @@ let create cfg =
           ~on_rx_batch:(fun now batch -> on_rx_batch (the_t ()) now batch)
           ~tx_intr_coalesce:8 ~rx_intr_delay:(Time_ns.of_us 25.0) ())
   in
+  (* Scratch for the drawn bodies of one interleaved phase pair. *)
+  let max_drawn =
+    max
+      (anatomy.setup_user_segments + anatomy.setup_syscalls)
+      (anatomy.pre_user_segments + anatomy.pre_syscalls + anatomy.post_syscalls
+     + anatomy.post_user_segments)
+  in
+  let steps = make_steps cfg anatomy machine in
   let t =
     {
       cfg;
@@ -580,11 +695,20 @@ let create cfg =
       nics;
       clients =
         Array.init cfg.connections (fun _ -> { data_got = 0; reqs_left = 0 });
+      metas =
+        Array.init cfg.connections (fun conn ->
+            conn_metas conn ~data_packets:anatomy.data_packets);
+      steps;
+      scripts = Exec.pool machine ~act:(fun tag pkt -> server_act (the_t ()) tag pkt);
+      draw_tpl = Array.make max_drawn steps.syscall;
+      draw_us = Float.Array.make max_drawn 0.0;
       completed = 0;
       measuring = false;
       measured = 0;
       measure_span = 0L;
       pace_queue = Queue.create ();
+      pace_touch_us = 0.5 *. anatomy.locality.Cache.sensitivity;
+      pace_handler = nop;
       pace_in_train = false;
       pace_last = Time_ns.zero;
       pace_sends = 0;
@@ -598,13 +722,13 @@ let create cfg =
   (match (cfg.net, facility) with
   | Soft_polling quota, Some st ->
     Array.iter (fun nic -> Nic.set_mode nic Nic.Polled) nics;
+    (* Reading the interfaces' status registers costs a little even
+       when nothing is found. *)
+    let status_attr = Some a_poll_status in
+    let status_us = 0.4 *. float_of_int (Array.length nics) in
     let poll _now =
-      (* Reading the interfaces' status registers costs a little even
-         when nothing is found. *)
-      Machine.submit_quantum machine ~attr:a_poll_status ~prio:Cpu.prio_intr
-        ~work_us:(0.4 *. float_of_int (Array.length nics))
-        ~trigger:None
-        (fun _ -> ());
+      Machine.submit_quantum machine ?attr:status_attr ~prio:Cpu.prio_intr ~work_us:status_us
+        ~trigger:None nop;
       Array.fold_left (fun acc nic -> acc + Nic.poll nic) 0 nics
     in
     t.poller <- Some (Net_poll.create st ~quota ~poll ())
@@ -613,23 +737,8 @@ let create cfg =
   (* Pacing of data transmissions. *)
   (match (cfg.pacing, facility) with
   | Soft_pacing, Some st ->
-    (* A soft-timer event at every trigger state; transmit one packet
-       whenever the handler runs and a packet is pending (the paper's
-       rate-clocking overhead experiment).  Each invocation touches the
-       pacing and TCP state, whose cache footprint costs more on a
-       locality-sensitive server - the residual 2-6% overhead of the
-       paper's Table 3. *)
-    let handler_touch_us = 0.5 *. anatomy.locality.Cache.sensitivity in
-    let rec arm () =
-      ignore
-        (Softtimer.schedule_soft_event st ~ticks:0L (fun now ->
-             Machine.submit_quantum machine ~attr:a_pace_touch ~prio:Cpu.prio_intr
-               ~work_us:handler_touch_us ~trigger:None (fun _ -> ());
-             ignore (pace_send t now : bool);
-             arm ())
-          : Softtimer.handle)
-    in
-    arm ()
+    t.pace_handler <- (fun now -> on_pace t st now);
+    ignore (Softtimer.schedule_soft_event st ~ticks:0L t.pace_handler : Softtimer.handle)
   | Soft_pacing, None -> assert false
   | Hw_pacing interval, _ ->
     let pacer =

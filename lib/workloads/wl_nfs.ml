@@ -29,37 +29,50 @@ let start machine ~seed =
       ~handler:(fun _ -> ())
       ()
   in
+  let syscall = Kernel.step_syscall ~work_us:0.0 machine in
+  let segment =
+    {
+      Kernel.prio = Cpu.prio_kernel;
+      work_us = 0.0;
+      trigger = None;
+      attr = a_nfsd_segment;
+      entry_us = 0.0;
+      entry_attr = a_nfsd_segment;
+    }
+  in
+  let ip_output = Kernel.step_ip_output machine in
+  (* The request script's one action: wait for the disk, then take its
+     interrupt, hand the reply back and send it. *)
+  let scripts = ref None in
+  let disk_wait () =
+    let wait = Dist.span disk_latency rng in
+    ignore
+      (Engine.schedule_after engine wait (fun () ->
+           ignore (Machine.raise_irq machine disk_line ~handler_work_us:5.0 () : bool);
+           match !scripts with
+           | Some p ->
+             let s = Exec.script p in
+             Exec.push s ip_output;
+             Exec.push_body s syscall (Dist.draw nfsd_syscall_body rng);
+             Exec.run s
+           | None -> assert false)
+        : Engine.handle)
+  in
+  let pool = Exec.pool machine ~act:(fun _ () -> disk_wait ()) in
+  scripts := Some pool;
   let serve_request () =
     ignore (Machine.raise_irq machine rx_line ~handler_work_us:4.0 () : bool);
-    let items =
-      [
-        Exec.quantum (Kernel.step_syscall ~work_us:(Dist.draw nfsd_syscall_body rng) machine);
-        Exec.quantum
-          {
-            Kernel.prio = Cpu.prio_kernel;
-            work_us = Dist.draw kernel_segment rng;
-            trigger = None;
-            attr = a_nfsd_segment;
-            entry_us = 0.0;
-            entry_attr = a_nfsd_segment;
-          };
-        Exec.quantum (Kernel.step_syscall ~work_us:(Dist.draw nfsd_syscall_body rng) machine);
-      ]
-    in
-    Exec.run machine items (fun _ ->
-        let wait = Dist.span disk_latency rng in
-        ignore
-          (Engine.schedule_after engine wait (fun () ->
-               ignore (Machine.raise_irq machine disk_line ~handler_work_us:5.0 () : bool);
-               (* Completion: hand the reply back and send it. *)
-               Exec.run machine
-                 [
-                   Exec.quantum (Kernel.step_ip_output machine);
-                   Exec.quantum
-                     (Kernel.step_syscall ~work_us:(Dist.draw nfsd_syscall_body rng) machine);
-                 ]
-                 ignore)
-            : Engine.handle))
+    (* Drawn last slot first: the generator order every recorded
+       result depends on. *)
+    let body3 = Dist.draw nfsd_syscall_body rng in
+    let segment_us = Dist.draw kernel_segment rng in
+    let body1 = Dist.draw nfsd_syscall_body rng in
+    let s = Exec.script pool in
+    Exec.push_body s syscall body1;
+    Exec.push_us s segment segment_us;
+    Exec.push_body s syscall body3;
+    Exec.push_act s 0 ();
+    Exec.run s
   in
   let rec arrivals () =
     let gap = Dist.span request_interarrival rng in

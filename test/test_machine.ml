@@ -242,7 +242,10 @@ let test_kernel_script_order () =
     ]
   in
   let done_at = ref Time_ns.zero in
-  Kernel.run_script m steps (fun t -> done_at := t);
+  let s = Exec.script (Exec.pool m ~act:(fun _ () -> done_at := Engine.now e)) in
+  List.iter (Exec.push s) steps;
+  Exec.push_act s 0 ();
+  Exec.run s;
   Engine.run e;
   Alcotest.(check bool) "script completed" true Time_ns.(!done_at > Time_ns.zero);
   Alcotest.(check int) "ip-output trigger" 1 (Machine.trigger_count m Trigger.Ip_output);
@@ -682,32 +685,31 @@ let test_submit_quantum_alloc () =
     [ ("no trigger", None); ("syscall trigger", Some Trigger.Syscall) ]
 
 (* A script's cost is one cursor, whatever its length: per step only the
-   quantum's span box remains.  Zero-work steps keep the clock still. *)
+   quantum's span box remains.  Zero-work steps keep the clock still.
+   The buffer is pooled, so a second run of the same script shape
+   builds no buffer, cursor or slot arrays. *)
 let test_script_cursor_alloc () =
-  let script_words run n =
+  let script_words n =
     let e, m = fresh () in
-    let steps = List.init n (fun _ -> Kernel.step_user m ~work_us:0.0) in
-    let go = run m steps in
-    let k (_ : Time_ns.t) = () in
-    go k;
+    let step = Kernel.step_user m ~work_us:0.0 in
+    let pool = Exec.pool m ~act:(fun _ () -> ()) in
+    let go () =
+      let s = Exec.script pool in
+      for _ = 1 to n do
+        Exec.push s step
+      done;
+      Exec.push_act s 0 ();
+      Exec.run s
+    in
+    go ();
     Engine.run e;
     minor_words_during (fun () ->
-        go k;
+        go ();
         Engine.run e)
   in
-  List.iter
-    (fun (name, run) ->
-      let w4 = script_words run 4 and w64 = script_words run 64 in
-      Alcotest.(check (float 1e-9))
-        (name ^ ": 4- and 64-step scripts differ by 60 span boxes")
-        (w4 +. (60.0 *. 3.0)) w64)
-    [
-      ("Kernel.run_script", Kernel.run_script);
-      ( "Exec.run",
-        fun m steps ->
-          let items = List.map Exec.quantum steps in
-          Exec.run m items );
-    ]
+  let w4 = script_words 4 and w64 = script_words 64 in
+  Alcotest.(check (float 1e-9)) "Exec: 4- and 64-step scripts differ by 60 span boxes"
+    (w4 +. (60.0 *. 3.0)) w64
 
 (* Property: engine events fire exactly once, in (time, insertion) order,
    and cancelled events never fire. *)

@@ -94,6 +94,83 @@ let test_prng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same multiset" (Array.init 50 Fun.id) sorted
 
+(* Golden stream: digests of the first 10,000 [bits64] outputs, taken
+   from the record-of-int64 implementation the [Bytes] state replaced.
+   Any change to the xoshiro256++ stream, the seeding, [split] or
+   [copy] changes every simulation and fails here first. *)
+let digest_bits64 rng n =
+  let b = Buffer.create (8 * n) in
+  for _ = 1 to n do
+    Buffer.add_int64_le b (Prng.bits64 rng)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_prng_golden_stream () =
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        want
+        (digest_bits64 (Prng.create ~seed) 10_000))
+    [
+      (1, "8dc0ab9ae99af3a6b7d07fb2422df5c4");
+      (2, "205dd06e78af19546c58005931986f8b");
+      (3, "5aa23a81d66672ec042af96a57c10974");
+    ];
+  let a = Prng.create ~seed:1 in
+  let sp = Prng.split a in
+  Alcotest.(check string) "split stream" "ddf20b5881b22953f8d761804fea17f0"
+    (digest_bits64 sp 10_000);
+  Alcotest.(check string) "parent after split" "53783b8eddf580224b683128554cb4c5"
+    (digest_bits64 a 10_000);
+  let c = Prng.create ~seed:2 in
+  ignore (Prng.bits64 c : int64);
+  Alcotest.(check string) "copy stream" "5ca310f4b95a6d472a1281436be6d2b5"
+    (digest_bits64 (Prng.copy c) 10_000);
+  let r = Prng.create ~seed:9 in
+  let b = Buffer.create 16_384 in
+  for _ = 1 to 1000 do
+    Buffer.add_string b (string_of_int (Prng.int r 1_000_003));
+    Buffer.add_int64_le b (Int64.bits_of_float (Prng.float r))
+  done;
+  Alcotest.(check string) "int and float" "db642ceacc9fdf4ae851d0586842d845"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_prng_bits53_is_float () =
+  let a = Prng.create ~seed:12 and b = Prng.create ~seed:12 in
+  for _ = 1 to 1000 do
+    Alcotest.(check (float 0.0)) "float = bits53 * 2^-53" (Prng.float a)
+      (Float.of_int (Prng.bits53 b) *. 0x1.0p-53)
+  done
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Per-call words of [f], over enough calls that the measurement's own
+   boxes vanish in the average. *)
+let words_per_call f =
+  let n = 10_000 in
+  f ();
+  minor_words_during (fun () ->
+      for _ = 1 to n do
+        f ()
+      done)
+  /. float_of_int n
+
+let test_prng_alloc () =
+  let rng = Prng.create ~seed:1 in
+  (* A float array sink: a captured float ref would box per store. *)
+  let sink = ref 0 and fsink = Float.Array.make 1 0.0 in
+  Alcotest.(check (float 0.01)) "Prng.int allocates nothing" 0.0
+    (words_per_call (fun () -> sink := !sink + Prng.int rng 1000));
+  Alcotest.(check (float 0.01)) "Prng.bits53 allocates nothing" 0.0
+    (words_per_call (fun () -> sink := !sink + Prng.bits53 rng));
+  Alcotest.(check bool) "Prng.float: at most the result box" true
+    (words_per_call (fun () -> Float.Array.set fsink 0 (Prng.float rng)) <= 2.0);
+  ignore (Sys.opaque_identity !sink)
+
 (* ------------------------------------------------------------------ *)
 (* Dist *)
 
@@ -146,6 +223,54 @@ let test_dist_pareto_infinite_mean () =
     (Float.is_integer (Dist.mean (Dist.Pareto { scale = 1.0; shape = 0.9 }))
      = Float.is_integer infinity
     && Dist.mean (Dist.Pareto { scale = 1.0; shape = 0.9 }) = infinity)
+
+(* Bit-exact golden draws for every constructor the workload models
+   use, recorded from the closure-and-fold implementation the unboxed
+   one replaced: 10,000 variates of each, seed 11, digested as their
+   IEEE bits. *)
+let workload_dists =
+  let lognormal ~median ~sigma = Dist.Lognormal { mu = log median; sigma } in
+  [
+    ("constant", Dist.Constant 40.0, "4c38e76baa98125104607d5508fd95c1");
+    ("uniform", Dist.Uniform (88.0, 138.0), "714245f0839a561e4c1739900472f94e");
+    ("exponential", Dist.Exponential 3_600.0, "fa516be907880b3278400d0dcafcdfd8");
+    ("lognormal", lognormal ~median:55.0 ~sigma:0.5, "d28a9e7fefd20ac7fe155db07c3e8367");
+    ("erlang", Dist.Erlang { k = 2; mean = 7.0 }, "f4c7cb2b9f63476a0997e09f22d99c74");
+    ( "mixture",
+      Dist.Mixture
+        [
+          (0.30, Dist.Uniform (0.5, 3.0));
+          (0.57, lognormal ~median:46.0 ~sigma:0.5);
+          (0.13, Dist.Uniform (88.0, 138.0));
+        ],
+      "fd64c5cef2ce28f3fa8dec438085454a" );
+    ("pareto", Dist.Pareto { scale = 2.0; shape = 1.5 }, "2df766509b76ce4b02b68521c254bc66");
+    ("shifted", Dist.Shifted (-3.0, Dist.Exponential 5.0), "0dcd1c759d7d580731cc1dea6acbf916");
+  ]
+
+let test_dist_golden_draws () =
+  List.iter
+    (fun (name, d, want) ->
+      let rng = Prng.create ~seed:11 in
+      let b = Buffer.create 80_000 in
+      for _ = 1 to 10_000 do
+        Buffer.add_int64_le b (Int64.bits_of_float (Dist.draw d rng))
+      done;
+      Alcotest.(check string) name want (Digest.to_hex (Digest.string (Buffer.contents b))))
+    workload_dists
+
+(* [Shifted] is left out: it recurses through the unclamped draw, which
+   boxes, and no workload model uses it. *)
+let test_dist_alloc () =
+  let rng = Prng.create ~seed:1 in
+  let sink = Float.Array.make 1 0.0 in
+  List.iter
+    (fun (name, d, _) ->
+      let w = words_per_call (fun () -> Float.Array.set sink 0 (Dist.draw d rng)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f words per draw, at most the result box" name w)
+        true (w <= 2.0))
+    (List.filter (fun (name, _, _) -> name <> "shifted") workload_dists)
 
 (* ------------------------------------------------------------------ *)
 (* Heap *)
@@ -815,12 +940,17 @@ let () =
           Alcotest.test_case "copy replays" `Quick test_prng_copy_replays;
           Alcotest.test_case "split independent" `Quick test_prng_split_independent;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
+          Alcotest.test_case "golden stream" `Quick test_prng_golden_stream;
+          Alcotest.test_case "bits53 is float" `Quick test_prng_bits53_is_float;
+          Alcotest.test_case "draws allocate nothing" `Quick test_prng_alloc;
         ] );
       ( "dist",
         [
           Alcotest.test_case "constant" `Quick test_dist_constant;
           Alcotest.test_case "means match analytic" `Slow test_dist_means_match_analytic;
           Alcotest.test_case "pareto infinite mean" `Quick test_dist_pareto_infinite_mean;
+          Alcotest.test_case "golden draws" `Quick test_dist_golden_draws;
+          Alcotest.test_case "draw allocates only its result" `Quick test_dist_alloc;
           qc test_dist_non_negative;
         ] );
       ( "heap",

@@ -363,6 +363,25 @@ let test_cancel_churn_bounded () =
       Alcotest.(check int) (M.name ^ ": only keeper pending") 1 (M.pending t);
       Alcotest.(check bool) (M.name ^ ": keeper survives") true (M.handle_pending t keeper))
 
+(* Regression: a Lawn drops emptied duration buckets.  Twenty thousand
+   distinct durations, each scheduled and fired alone, used to leave
+   20,000 buckets for every later sweep to walk.  The bucket count is
+   read back from [words]: 14 words a bucket over a 36-word empty
+   store. *)
+let test_lawn_drops_empty_buckets () =
+  let t = Lawn.create ~tick:(us 10.0) () in
+  let now = ref Time_ns.zero in
+  for i = 1 to 20_000 do
+    let at = Time_ns.(!now + Int64.of_int i) in
+    ignore (Lawn.schedule t ~at () : unit Lawn.handle);
+    ignore (Lawn.fire_due t ~now:at ~limit:max_int (fun _ () -> ()) : Fire_outcome.t);
+    now := at
+  done;
+  Alcotest.(check int) "all fired" 0 (Lawn.pending t);
+  let buckets = (Lawn.words t - 36) / 14 in
+  Alcotest.(check bool) (Printf.sprintf "%d buckets remain, at most 64" buckets) true
+    (buckets <= 64)
+
 (* Same bound under re-arm churn: re-arming one timer 50k times must not
    accumulate stale entries (each re-arm leaves a corpse in the lazy
    stores). *)
@@ -586,6 +605,7 @@ let () =
           Alcotest.test_case "rearm churn bounded" `Quick test_rearm_churn_bounded;
           Alcotest.test_case "digest independent of store" `Quick test_digest_store_independent;
           Alcotest.test_case "fire budget keeps minimum" `Quick test_fire_budget_keeps_minimum;
+          Alcotest.test_case "lawn drops empty buckets" `Quick test_lawn_drops_empty_buckets;
         ] );
       ( "pacing-wheel",
         [

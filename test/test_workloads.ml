@@ -217,6 +217,40 @@ let run_synthetic start seconds =
   Engine.run_until e Time_ns.(Engine.now e + sec seconds);
   (m, Delay_probe.Gap_recorder.sample rec_)
 
+(* Allocation ceiling of request generation: the soft-pacing Flash
+   server of the repository benchmark's web-pace workload, minor words
+   per completed request over a fixed simulated second after warm-up.
+   Workload generation (draws, scripts, pacing) allocates nothing per
+   step; what remains is the engine, the soft-timer schedule, packets
+   and the boxed work spans (about 2,000 words).  List-built scripts
+   and boxed generator state cost about 5,000. *)
+let test_web_pace_words_per_request () =
+  let cfg =
+    {
+      base_cfg with
+      Webserver.kind = Webserver.Flash;
+      http = Webserver.Http;
+      pacing = Webserver.Soft_pacing;
+      connections = 48;
+      nic_count = 3;
+      seed = 1;
+    }
+  in
+  let t = Webserver.create cfg in
+  Webserver.run t ~warmup:(sec 0.3) ~measure:0L;
+  let e = Webserver.engine t in
+  let r0 = Webserver.completed_requests t in
+  let w0 = Gc.minor_words () in
+  Engine.run_until e Time_ns.(Engine.now e + sec 1.0);
+  let words = Gc.minor_words () -. w0 in
+  let requests = Webserver.completed_requests t - r0 in
+  let per_request = words /. float_of_int requests in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per request over %d requests, at most 2,500" per_request
+       requests)
+    true
+    (requests > 500 && per_request <= 2_500.0)
+
 let test_nfs_idle_dominated () =
   let m, s = run_synthetic (fun m -> Wl_nfs.start m ~seed:7) 0.8 in
   Alcotest.(check bool) (Printf.sprintf "median ~2us (got %.1f)" (Stats.Sample.median s)) true
@@ -281,6 +315,7 @@ let () =
           Alcotest.test_case "pacing transmits all data" `Slow test_pacing_transmits_all_data;
           Alcotest.test_case "all table-2 sources present" `Slow test_all_table2_sources_present;
           Alcotest.test_case "locality override applies" `Slow test_locality_override_applies;
+          Alcotest.test_case "web-pace words per request" `Quick test_web_pace_words_per_request;
         ] );
       ( "synthetic",
         [
