@@ -18,8 +18,9 @@ bench:
 bench-parallel: build
 	dune exec bench/main.exe -- --quick --jobs 0
 
-# Bechamel microbenchmarks of the engine/event-queue hot path (the
-# numbers the PR-4 overhaul is judged by; table in EXPERIMENTS.md).
+# The Bechamel microbenchmarks: the engine/event-queue hot path (the
+# numbers the PR-4 overhaul is judged by; table in EXPERIMENTS.md), the
+# soft-timer fast path, the observability taps and every timer store.
 microbench: build
 	dune exec bench/microbench.exe -- --quota 2
 
@@ -80,7 +81,7 @@ mem-smoke: build
 	dune exec bin/softtimers_cli.exe -- mem fig1 --quick --json --out /tmp/softtimers-fig1-mem.json
 	dune exec bin/softtimers_cli.exe -- mem pacer-scale --quick --json --out /tmp/softtimers-pacer-mem.json
 	python3 -c "import json; d = json.load(open('/tmp/softtimers-pacer-mem.json')); \
-	assert d['schema'] == 'softtimers-mem/1', d['schema']; \
+	assert d['schema'] == 'softtimers-mem/2', d['schema']; \
 	ms = d['memstats']; assert ms['conservation_ok'], 'conservation violated'; \
 	stores = {s['path'].split(';')[2] for s in ms['sources'] if s['path'].startswith('mem;pacer;')}; \
 	assert len(stores) >= 2, stores; \
@@ -133,9 +134,9 @@ whylate-smoke: build
 	print('whylate-smoke: %d late fires, %d causes, worst %d' % (d['late'], len(d['causes']), len(d['worst'])))"
 
 # Static-analysis suite (tools/lint): determinism (DET001..DET004,
-# MLI001), Gc.Memprof confinement (MEM001), domain races
-# (RACE001..RACE004) and hot-path allocations (ALLOC001..ALLOC003) over
-# lib/ bin/ examples/ bench/ tools/, with file:line:RULE diagnostics,
+# MLI001), domain races (RACE001..RACE004) and hot-path allocations
+# (ALLOC001..ALLOC003) over lib/ bin/ examples/ bench/ tools/, with
+# file:line:RULE diagnostics,
 # ratcheted against tools/lint/BASELINE.json (empty since the RACE002
 # burn-down — any finding is fresh debt).
 lint:

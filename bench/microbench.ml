@@ -1,6 +1,8 @@
-(* Focused Bechamel microbenchmarks of the discrete-event hot path:
-   the operations every experiment cell spends most of its cycles in
-   (Engine.schedule / fire / cancel and the backing event queue).
+(* The Bechamel microbenchmarks: the discrete-event hot path every
+   experiment cell spends most of its cycles in (Engine.schedule / fire
+   / cancel and the backing event queue), the soft-timer fast path the
+   paper's argument depends on, the observability taps and every timer
+   store.
 
    dune exec bench/microbench.exe [-- --quota SECONDS]
 
@@ -59,8 +61,8 @@ let bench_engine_churn64 () =
       ignore (Engine.step e : bool))
 
 let bench_eventq_push_pop () =
-  (* The specialized int-keyed 4-ary heap, same shape as heap.push+pop
-     below: 64 resident entries, one push+pop per iteration. *)
+  (* The engine's int-keyed 4-ary heap: 64 resident entries, one
+     push+pop per iteration. *)
   let q = Eventq.create () in
   for i = 1 to 64 do
     Eventq.push q ~time:(1_000_000_000 + i) ~seq:i ~payload:i
@@ -71,17 +73,36 @@ let bench_eventq_push_pop () =
       Eventq.push q ~time:!counter ~seq:!counter ~payload:0;
       Eventq.drop_min q)
 
-let bench_heap_push_pop () =
-  (* The generic closure-compared heap, for comparison. *)
-  let heap = Heap.create ~cmp:Int64.compare in
-  for i = 1 to 64 do
-    Heap.push heap (Int64.of_int (1_000_000_000 + i))
-  done;
+(* The soft-timer fast path: the operations whose cost the paper's
+   argument depends on. *)
+
+let bench_timing_wheel_schedule () =
+  let wheel = Timing_wheel.create ~tick:(Time_ns.of_us 10.0) () in
   let counter = ref 0L in
   Bechamel.Staged.stage (fun () ->
-      counter := Int64.add !counter 7_919L;
-      Heap.push heap !counter;
-      ignore (Heap.pop heap : int64 option))
+      counter := Int64.add !counter 9_973L;
+      let h = Timing_wheel.schedule wheel ~at:!counter () in
+      Timing_wheel.cancel wheel h)
+
+let bench_timing_wheel_check () =
+  (* The per-trigger-state check: next_deadline on a wheel with pending
+     entries (cache-hit path). *)
+  let wheel = Timing_wheel.create ~tick:(Time_ns.of_us 10.0) () in
+  for i = 1 to 64 do
+    ignore
+      (Timing_wheel.schedule wheel ~at:(Int64.of_int (i * 100_000)) () : unit Timing_wheel.handle)
+  done;
+  Bechamel.Staged.stage (fun () -> ignore (Timing_wheel.next_deadline wheel : Time_ns.t option))
+
+let bench_softtimer_fire () =
+  (* Schedule + fire one soft event through the whole facility. *)
+  let engine = Engine.create () in
+  let machine = Machine.create engine in
+  let st = Softtimer.attach machine in
+  Bechamel.Staged.stage (fun () ->
+      ignore (Softtimer.schedule_soft_event st ~ticks:0L (fun _ -> ()) : Softtimer.handle);
+      Machine.fire_trigger machine Trigger.Syscall;
+      Engine.run_until engine Time_ns.(Engine.now engine + Time_ns.of_us 5.0))
 
 let bench_hdr_record () =
   (* The PR-5 always-on histogram path: every soft-timer fire and
@@ -226,7 +247,9 @@ let () =
         Test.make ~name:"engine.schedule+fire@64pending" (bench_engine_pending64 ());
         Test.make ~name:"engine.churn@64pending" (bench_engine_churn64 ());
         Test.make ~name:"eventq.push+pop@64" (bench_eventq_push_pop ());
-        Test.make ~name:"heap.push+pop@64" (bench_heap_push_pop ());
+        Test.make ~name:"timing_wheel.schedule+cancel" (bench_timing_wheel_schedule ());
+        Test.make ~name:"timing_wheel.next_deadline" (bench_timing_wheel_check ());
+        Test.make ~name:"softtimer.schedule+fire" (bench_softtimer_fire ());
         Test.make ~name:"hdr.record" (bench_hdr_record ());
         Test.make ~name:"timeseries.on_event" (bench_timeseries_event ());
         Test.make ~name:"timeseries.window-flush" (bench_timeseries_window_flush ());

@@ -269,7 +269,7 @@ let metrics_json m =
       let rendered =
         match v with
         | Metrics.Counter c -> string_of_int c
-        | Metrics.Gauge g | Metrics.Probe g -> jfloat g
+        | Metrics.Probe g -> jfloat g
         | Metrics.Histogram h -> hdr_json h
       in
       parts := Printf.sprintf "%s:%s" (jstring name) rendered :: !parts);
@@ -462,88 +462,60 @@ let run_whylate cfg id worst fmt out buf budget =
 (* --- mem: memory observatory ---------------------------------------- *)
 
 (* Arm the memory observatory around [f]: register the observatory's
-   own self-census, start the statistical allocation profiler when the
-   runtime engine supports it (best-effort — on OCaml 5.0-5.2 the
-   status marker reports it unavailable and the site table stays
-   empty), and take GC samples at the run boundaries.  The report goes
-   to stderr: nothing here emits a trace event or touches
-   Metrics.default, so stdout, digests and tables are byte-identical
-   with or without --mem. *)
+   own self-census and take GC samples at the run boundaries.  Nothing
+   here emits a trace event or touches Metrics.default, so stdout,
+   digests and tables are byte-identical with or without it. *)
+let observe_mem f =
+  Memstats.reset_census ();
+  Memstats.reset_samples ();
+  (* The observatory accounts for itself: the interned category
+     registry is retained heap like any store's. *)
+  Memstats.register ~path:[ "obs"; "profile-registry" ] Profile.registry_words;
+  Memstats.sample ~label:"start";
+  Fun.protect ~finally:(fun () -> Memstats.sample ~label:"end") f
+
+(* --mem: the memory report goes to stderr after the run. *)
 let with_mem enabled f =
   if not enabled then f ()
   else begin
-    Memstats.reset_census ();
-    Memstats.reset_samples ();
-    Memprof.reset ();
-    (* The observatory accounts for itself: the interned category
-       registry is retained heap like any store's. *)
-    Memstats.register ~path:[ "obs"; "profile-registry" ] Profile.registry_words;
-    ignore (Memprof.start () : (unit, string) result);
-    Memstats.sample ~label:"start";
-    let finish () =
-      Memprof.stop ();
-      Memstats.sample ~label:"end"
-    in
-    let r =
-      try f ()
-      with e ->
-        finish ();
-        raise e
-    in
-    finish ();
-    prerr_newline ();
-    prerr_string (Memprof.table ~n:10);
+    let r = observe_mem f in
     prerr_newline ();
     prerr_string (Memstats.report ());
     r
   end
 
-(* Run one experiment under the full observatory and print the memory
-   report instead of the experiment's table (mirroring `stats`): top-N
-   allocation sites, the per-subsystem live-word tree, the retention
-   table with its conservation verdict, GC samples and counters.
-   pacer-scale runs through its census entry point, which registers
-   every fleet as a live source — `mem pacer-scale` is the per-store
-   words/flow report at 10^3..10^6. *)
-let run_mem cfg id top fmt out =
+(* Run one experiment under the observatory and print the memory report
+   instead of the experiment's table (mirroring `stats`): the
+   per-subsystem live-word tree, the retention table with its
+   conservation verdict, GC samples and counters.  pacer-scale runs
+   through its census entry point, which registers every fleet as a
+   live source — `mem pacer-scale` is the per-store words/flow report
+   at 10^3..10^6. *)
+let run_mem cfg id fmt out =
   match List.find_opt (fun (name, _, _) -> name = id) experiments with
   | None -> unknown_experiment id
-  | Some _ when top <= 0 -> `Error (false, "--top must be positive")
   | Some _
     when match out with
          | None -> false
          | Some f -> ( try close_out (open_out f); false with Sys_error _ -> true) ->
     `Error (false, Printf.sprintf "cannot write mem output %S" (Option.get out))
   | Some (_, _, f) ->
-    Memstats.reset_census ();
-    Memstats.reset_samples ();
-    Memprof.reset ();
-    Memstats.register ~path:[ "obs"; "profile-registry" ] Profile.registry_words;
-    ignore (Memprof.start () : (unit, string) result);
-    Memstats.sample ~label:"start";
-    (if id = "pacer-scale" then
-       ignore
-         (Memprof.with_context [ "experiment"; id ] (fun () ->
-              Exp_pacer_scale.run_census cfg)
-           : Exp_pacer_scale.cell list)
-     else
-       ignore (Memprof.with_context [ "experiment"; id ] (fun () -> f cfg) : string));
-    Memprof.stop ();
-    Memstats.sample ~label:"end";
+    observe_mem (fun () ->
+        if id = "pacer-scale" then
+          ignore (Exp_pacer_scale.run_census cfg : Exp_pacer_scale.cell list)
+        else ignore (f cfg : string));
     let body =
       match fmt with
       | `Json ->
         Printf.sprintf
-          "{\"schema\":\"softtimers-mem/1\",\"experiment\":%s,\"seed\":%d,\"quick\":%b,\
-           \"memprof\":%s,\"memstats\":%s}"
-          (jstring id) cfg.Exp_config.seed cfg.Exp_config.quick
-          (Memprof.to_json ~n:top) (Memstats.to_json ())
+          "{\"schema\":\"softtimers-mem/2\",\"experiment\":%s,\"seed\":%d,\"quick\":%b,\
+           \"memstats\":%s}"
+          (jstring id) cfg.Exp_config.seed cfg.Exp_config.quick (Memstats.to_json ())
       | `Prom -> Memstats.to_prometheus ()
       | `Human ->
-        Printf.sprintf "mem %s (seed %d%s) — memprof %s\n\n%s\n%s" id cfg.Exp_config.seed
+        Printf.sprintf "mem %s (seed %d%s)\n\n%s" id cfg.Exp_config.seed
           (if cfg.Exp_config.quick then ", quick" else "")
-          (Memprof.status ())
-          (Memprof.table ~n:top) (Memstats.report ())
+          (Memstats.report ())
     in
     (match out with
     | None -> print_string body
@@ -591,9 +563,8 @@ let sanitize =
 
 let mem_flag =
   let doc =
-    "Arm the memory observatory for the run: statistical allocation profiling (when the \
-     runtime engine supports it) plus the live-word census and GC samples, reported to \
-     stderr after the run.  stdout, tables and trace digests are byte-identical with or \
+    "Arm the memory observatory for the run: the live-word census and GC samples, \
+     reported to stderr after the run.  stdout, tables and trace digests are byte-identical with or \
      without this flag."
   in
   Arg.(value & flag & info [ "mem" ] ~doc)
@@ -883,12 +854,10 @@ let mem_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Arms the memory observatory (lib/obs Memstats + Memprof), runs the given \
-         experiment, and prints the memory report instead of the experiment's table: the \
-         top-$(b,--top) statistical allocation sites (when the runtime's statmemprof \
-         engine is available — on OCaml 5.0-5.2 it is not, and the report says so), the \
-         per-subsystem live-word tree and retention table over the census of registered \
-         word providers, the GC sample track and the GC counter registry.  The retention \
+        "Arms the memory observatory (lib/obs Memstats), runs the given experiment, and \
+         prints the memory report instead of the experiment's table: the per-subsystem \
+         live-word tree and retention table over the census of registered word \
+         providers, the GC sample track and the GC counter registry.  The retention \
          numbers come from each subsystem's analytic $(b,words) accounting \
          (cross-checked against Obj.reachable_words in the test suite), attributed to \
          the same interned category tree the cycle profiler uses.";
@@ -907,12 +876,8 @@ let mem_cmd =
     let doc = "Experiment id to observe (one id, not 'all')." in
     Arg.(required & pos 0 (some string) None & info [] ~doc ~docv:"EXPERIMENT")
   in
-  let top =
-    let doc = "Number of top allocation sites to report." in
-    Arg.(value & opt int 10 & info [ "top" ] ~doc ~docv:"N")
-  in
   let json =
-    let doc = "Emit the JSON report (schema softtimers-mem/1)." in
+    let doc = "Emit the JSON report (schema softtimers-mem/2)." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let prom =
@@ -926,15 +891,15 @@ let mem_cmd =
   let term =
     Term.(
       ret
-        (const (fun quick seed jobs store id top json prom out ->
+        (const (fun quick seed jobs store id json prom out ->
              Runner.set_default_jobs jobs;
              with_store store (fun () ->
                  match (json, prom) with
-                 | true, false -> run_mem (cfg_of quick seed) id top `Json out
-                 | false, true -> run_mem (cfg_of quick seed) id top `Prom out
-                 | false, false -> run_mem (cfg_of quick seed) id top `Human out
+                 | true, false -> run_mem (cfg_of quick seed) id `Json out
+                 | false, true -> run_mem (cfg_of quick seed) id `Prom out
+                 | false, false -> run_mem (cfg_of quick seed) id `Human out
                  | true, true -> `Error (false, "--json and --prom are mutually exclusive")))
-        $ quick $ seed $ jobs $ store_arg $ exp_id $ top $ json $ prom $ out))
+        $ quick $ seed $ jobs $ store_arg $ exp_id $ json $ prom $ out))
   in
   Cmd.v (Cmd.info "mem" ~doc ~man) term
 
@@ -1014,7 +979,7 @@ let () =
   let value_flags =
     [
       "--seed"; "-s"; "--out"; "-o"; "--buf"; "--jobs"; "-j"; "--window"; "--max-windows";
-      "--store"; "--worst"; "--check-budget"; "--top";
+      "--store"; "--worst"; "--check-budget";
     ]
   in
   let first_positional =

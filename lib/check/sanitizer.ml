@@ -96,7 +96,7 @@ let scan_registry t ~at =
         | "softtimer.wheel_pending" -> pending := Some (int_of_float p)
         | "softtimer.wheel_slots" -> slots := Some (int_of_float p)
         | _ -> ())
-      | Metrics.Gauge _ | Metrics.Histogram _ -> ());
+      | Metrics.Histogram _ -> ());
   match (!resident, !pending, !slots) with
   | Some r, Some p, Some s -> check_wheel t ~at ~resident:r ~pending:p ~slots:s
   | _ -> ()

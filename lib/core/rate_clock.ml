@@ -1,6 +1,6 @@
 let m_sends = Metrics.dcounter Metrics.default "rate_clock.sends"
 let m_trains = Metrics.dcounter Metrics.default "rate_clock.trains"
-let h_intervals = Metrics.hdr Metrics.default "rate_clock.interval_us"
+let h_intervals = Metrics.dhistogram Metrics.default "rate_clock.interval_us"
 
 (* A catch-up send: soft-timer dispatch latency pushed us past the ideal
    send time, so the next interval was clamped to min_interval — the
@@ -60,7 +60,7 @@ let rec on_event t now =
       if t.sent_in_train > 0 then begin
         let gap_us = Time_ns.to_us Time_ns.(now - t.last_send) in
         Hdr.record t.intervals gap_us;
-        Hdr.record h_intervals gap_us
+        Metrics.drecord h_intervals gap_us
       end;
       t.last_send <- now;
       t.sent_in_train <- t.sent_in_train + 1;
@@ -187,7 +187,7 @@ module Pool (M : Timer_store.S) = struct
     if p.f.(base + o_sent) > 0 then begin
       let gap_us = float_of_int (now_i - last) /. 1_000.0 in
       Hdr.record p.intervals gap_us;
-      Hdr.record h_intervals gap_us
+      Metrics.drecord h_intervals gap_us
     end;
     let delay_us = float_of_int (now_i - p.f.(base + o_next_at)) /. 1_000.0 in
     Hdr.record p.delays delay_us

@@ -18,8 +18,6 @@ type t = {
   mutable fired : int;
   mutable checks : int;
   mutable attached : bool;
-  mutable record_delays : bool;
-  delays : Stats.Sample.t;
   (* The running check's instant and trigger name, read by [fire_cb]:
      the fire callback is built once per facility, not once per check. *)
   mutable check_now : Time_ns.t;
@@ -94,9 +92,7 @@ let fire_one t due ev =
   let delay = Int64.to_int now - Int64.to_int due in
   if Profile.enabled () then
     Profile.dispatch ~source:t.check_source ~delay:(Int64.of_int delay);
-  let delay_us = float_of_int delay /. 1e3 in
-  if t.record_delays then Stats.Sample.add t.delays delay_us;
-  Metrics.drecord h_fire_delay delay_us;
+  Metrics.drecord h_fire_delay (float_of_int delay /. 1e3);
   Machine.submit_quantum t.machine
     ?attr:(if Profile.enabled () then fire_attr else None)
     ~prio:Cpu.prio_intr ~klass:Cpu.klass_timer
@@ -149,8 +145,6 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       fired = 0;
       checks = 0;
       attached = true;
-      record_delays = false;
-      delays = Stats.Sample.create ();
       check_now = Time_ns.zero;
       check_source = "";
       fire_cb = (fun _ _ -> ());
@@ -246,5 +240,3 @@ let wheel_stats t =
   (t.store.Timer_store.i_resident (), t.store.Timer_store.i_pending (), t.store_slots)
 let fired t = t.fired
 let checks t = t.checks
-let set_record_delays t b = t.record_delays <- b
-let delays t = t.delays

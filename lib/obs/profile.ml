@@ -500,18 +500,15 @@ let report p =
 
 (* ---- Category-registry readers ------------------------------------
 
-   The memory observatory (Memstats / Memprof) attributes words to the
-   same interned category tree the cycle profiler charges time to; it
-   keeps its own id-indexed side tables and renders by walking the
-   registry through these readers. *)
+   The memory census (Memstats) attributes words to the same interned
+   category tree the cycle profiler charges time to; it keeps its own
+   id-indexed side tables and renders by walking the registry through
+   these readers. *)
 
 let intern_id = intern_path
 let id_name id = !reg.(id).name
 let id_full id = !reg.(id).full
-let id_parent id = !reg.(id).parent
 let id_children = children_of
-let id_roots = roots
-let registry_size () = !reg_n
 
 (* Analytic footprint of the registry itself, in 64-bit words: the
    backing array, one 4-word info record and two string blocks per

@@ -125,8 +125,8 @@ val report : t -> string
 (** {1 Category-registry readers}
 
     The interned category tree is shared infrastructure: the cycle
-    profiler charges nanoseconds to it, and the memory observatory
-    ([Memstats]/[Memprof]) attributes words to it.  These readers
+    profiler charges nanoseconds to it, and the memory census
+    ([Memstats]) attributes words to it.  These readers
     expose the registry itself — node ids are dense ints, stable for
     the process lifetime, and enumeration order is registration order
     (deterministic). *)
@@ -145,16 +145,8 @@ val id_name : int -> string
 val id_full : int -> string
 (** Full path, [";"]-separated. *)
 
-val id_parent : int -> int
-(** Parent id, or [-1] for a root. *)
-
 val id_children : int -> int list
 (** Children in registration order. *)
-
-val id_roots : unit -> int list
-
-val registry_size : unit -> int
-(** Nodes interned so far. *)
 
 val registry_words : unit -> int
 (** Analytic estimate of the registry's own heap footprint in 64-bit

@@ -88,12 +88,12 @@ let test_residency_caught () =
 
 let test_counter_decrease_caught () =
   let reg = Metrics.create () in
-  let c = Metrics.counter reg "test.monotone" in
+  let c = Metrics.dcounter reg "test.monotone" in
   let s = Sanitizer.create ~registry:reg () in
-  Metrics.incr ~by:5 c;
+  Metrics.dincr ~by:5 c;
   Sanitizer.scan_registry s ~at:(us 1.0);
   Alcotest.(check int) "first scan clean" 0 (Sanitizer.violation_count s);
-  Metrics.incr ~by:(-3) c;
+  Metrics.dincr ~by:(-3) c;
   Sanitizer.scan_registry s ~at:(us 2.0);
   Alcotest.(check int) "decrease caught" 1 (Sanitizer.violation_count s);
   match Sanitizer.violations s with

@@ -60,46 +60,44 @@ let test_trace_invalid_capacity () =
 
 let test_metrics_counters () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "a.b" in
-  Metrics.incr c;
-  Metrics.incr ~by:41 c;
-  Alcotest.(check int) "counted" 42 (Metrics.counter_value c);
+  let c = Metrics.dcounter m "a.b" in
+  Metrics.dincr c;
+  Metrics.dincr ~by:41 c;
+  Alcotest.(check int) "counted" 42 (Metrics.dcounter_value c);
   (* Get-or-create: the same name is the same instrument. *)
-  let c' = Metrics.counter m "a.b" in
-  Metrics.incr c';
-  Alcotest.(check int) "aliased" 43 (Metrics.counter_value c);
+  let c' = Metrics.dcounter m "a.b" in
+  Metrics.dincr c';
+  Alcotest.(check int) "aliased" 43 (Metrics.dcounter_value c);
   Alcotest.check_raises "kind mismatch"
-    (Invalid_argument "Metrics: \"a.b\" is a counter, not a gauge") (fun () ->
-      ignore (Metrics.gauge m "a.b" : Metrics.gauge))
+    (Invalid_argument "Metrics: \"a.b\" is a counter, not a histogram") (fun () ->
+      ignore (Metrics.dhistogram m "a.b" : Metrics.dhistogram))
 
-let test_metrics_gauges_probes () =
+let test_metrics_probes_name_order () =
   let m = Metrics.create () in
-  let g = Metrics.gauge m "g" in
-  Alcotest.(check bool) "nan before set" true (Float.is_nan (Metrics.gauge_value g));
-  Metrics.set_gauge g 2.5;
-  Alcotest.(check (float 0.0)) "gauge" 2.5 (Metrics.gauge_value g);
   Metrics.probe m "p" (fun () -> 7.0);
+  ignore (Metrics.dcounter m "c" : Metrics.dcounter);
+  ignore (Metrics.dhistogram m "b" : Metrics.dhistogram);
   let seen = ref [] in
   Metrics.iter m (fun name v -> seen := (name, v) :: !seen);
-  Alcotest.(check (list string)) "name-sorted iteration" [ "g"; "p" ]
-    (List.rev_map fst !seen)
+  Alcotest.(check (list string)) "name-sorted iteration" [ "b"; "c"; "p" ]
+    (List.rev_map fst !seen);
+  match List.assoc "p" !seen with
+  | Metrics.Probe p -> Alcotest.(check (float 0.0)) "probe read at iteration" 7.0 p
+  | _ -> Alcotest.fail "p is not a probe"
 
 let test_metrics_reset () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "c" in
-  let g = Metrics.gauge m "g" in
-  let h = Metrics.hdr m "h" in
-  Metrics.incr ~by:5 c;
-  Metrics.set_gauge g 1.0;
-  Hdr.record h 3.0;
+  let c = Metrics.dcounter m "c" in
+  let h = Metrics.dhistogram m "h" in
+  Metrics.dincr ~by:5 c;
+  Metrics.drecord h 3.0;
   Metrics.reset m;
   (* Instruments held by registration sites stay valid after reset. *)
-  Alcotest.(check int) "counter zeroed" 0 (Metrics.counter_value c);
-  Alcotest.(check bool) "gauge cleared" true (Float.is_nan (Metrics.gauge_value g));
-  Alcotest.(check int) "histogram emptied" 0 (Hdr.count h);
-  Metrics.incr c;
+  Alcotest.(check int) "counter zeroed" 0 (Metrics.dcounter_value c);
+  Alcotest.(check int) "histogram emptied" 0 (Hdr.count (Metrics.dhistogram_hdr h));
+  Metrics.dincr c;
   Alcotest.(check int) "still wired to the registry" 1
-    (Metrics.counter_value (Metrics.counter m "c"))
+    (Metrics.dcounter_value (Metrics.dcounter m "c"))
 
 (* Regression: [reset] used to drop pull-style probes, so the second
    experiment run in one process (softtimers-cli all) silently lost
@@ -130,12 +128,10 @@ let test_metrics_reset_keeps_probes () =
 
 let test_metrics_prometheus () =
   let m = Metrics.create () in
-  Metrics.incr ~by:42 (Metrics.counter m "softtimer.fired");
-  Metrics.set_gauge (Metrics.gauge m "cpu.load") 0.5;
+  Metrics.dincr ~by:42 (Metrics.dcounter m "softtimer.fired");
   Metrics.probe m "wheel.resident" (fun () -> 9.0);
-  ignore (Metrics.gauge m "never.set" : Metrics.gauge);
-  let h = Metrics.hdr m "softtimer.fire_delay_us" in
-  List.iter (Hdr.record h) [ 1.0; 2.0; 3.0; 4.0 ];
+  let h = Metrics.dhistogram m "softtimer.fire_delay_us" in
+  List.iter (Metrics.drecord h) [ 1.0; 2.0; 3.0; 4.0 ];
   let text = Metrics.to_prometheus m in
   let has needle =
     let n = String.length needle and m' = String.length text in
@@ -144,9 +140,7 @@ let test_metrics_prometheus () =
   in
   Alcotest.(check bool) "counter typed" true (has "# TYPE softtimer_fired counter");
   Alcotest.(check bool) "counter value" true (has "softtimer_fired 42");
-  Alcotest.(check bool) "gauge" true (has "cpu_load 0.5");
   Alcotest.(check bool) "probe as gauge" true (has "# TYPE wheel_resident gauge");
-  Alcotest.(check bool) "unset gauge skipped" false (has "never_set");
   Alcotest.(check bool) "summary typed" true
     (has "# TYPE softtimer_fire_delay_us summary");
   Alcotest.(check bool) "quantile label" true
@@ -648,7 +642,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters get-or-create" `Quick test_metrics_counters;
-          Alcotest.test_case "gauges and probes" `Quick test_metrics_gauges_probes;
+          Alcotest.test_case "probes and name order" `Quick test_metrics_probes_name_order;
           Alcotest.test_case "reset keeps instruments live" `Quick test_metrics_reset;
           Alcotest.test_case "reset keeps probes" `Quick test_metrics_reset_keeps_probes;
           Alcotest.test_case "prometheus exposition" `Quick test_metrics_prometheus;

@@ -164,6 +164,33 @@ let test_map_metrics_deterministic () =
   Alcotest.(check int) "exact counter total (jobs 4)" d1 d4;
   Alcotest.(check int) "histogram records all absorbed" 64 (Hdr.count (Metrics.dhistogram_hdr h))
 
+(* rate_clock.interval_us is recorded by every rate clock, including
+   ones running in parallel experiment workers.  Two rate-clock
+   experiments fanned out through [map_sim] must leave the same
+   histogram in the default registry at jobs 1 and at jobs 4. *)
+let test_rate_clock_intervals_jobs_invariant () =
+  let lines_of_interval text =
+    String.split_on_char '\n' text
+    |> List.filter (String.starts_with ~prefix:"rate_clock_interval_us")
+  in
+  let run jobs =
+    Metrics.reset Metrics.default;
+    ignore
+      (Runner.map_sim ~jobs
+         (fun f -> f Exp_config.quick)
+         [ Exp_rbc_process.run; Exp_pacer_scale.run ]
+        : string list);
+    lines_of_interval (Metrics.to_prometheus Metrics.default)
+  in
+  let j1 = run 1 in
+  let j4 = run 4 in
+  let count =
+    List.find_map (fun l -> Scanf.sscanf_opt l "rate_clock_interval_us_count %d" Fun.id) j1
+  in
+  Alcotest.(check bool) "intervals recorded" true
+    (match count with Some n -> n > 0 | None -> false);
+  Alcotest.(check (list string)) "count, sum and quantiles identical at jobs 1 and 4" j1 j4
+
 let () =
   Runner.set_default_jobs 1;
   Alcotest.run "parallel"
@@ -186,5 +213,7 @@ let () =
             test_map_sim_audit_jobs_independent;
           Alcotest.test_case "domain-local metrics deterministic" `Quick
             test_map_metrics_deterministic;
+          Alcotest.test_case "rate_clock intervals independent of jobs" `Quick
+            test_rate_clock_intervals_jobs_invariant;
         ] );
     ]

@@ -108,17 +108,28 @@ let test_negative_ticks_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Softtimer.schedule_soft_event: negative ticks")
     (fun () -> ignore (Softtimer.schedule_soft_event st ~ticks:(-1L) (fun _ -> ())))
 
+(* Firing delays read off the trace tap: each [Soft_fire] carries its
+   due time, and the tap's [at] is the instant it fired. *)
 let test_delay_recording () =
   let e, m, st = fresh () in
   start_triggers m 4;
-  Softtimer.set_record_delays st true;
-  for _ = 1 to 20 do
-    ignore (Softtimer.schedule_after st (us 30.0) (fun _ -> ()) : Softtimer.handle)
-  done;
-  Engine.run_until e (Time_ns.of_ms 20.0);
-  let d = Softtimer.delays st in
-  Alcotest.(check int) "all delays recorded" 20 (Stats.Sample.count d);
-  Alcotest.(check bool) "delays non-negative" true (Stats.Sample.min d >= 0.0)
+  let delays = ref [] in
+  Trace.set_tap
+    (Some
+       (fun ~at ev ->
+         match ev with
+         | Trace.Soft_fire { due; _ } -> delays := Time_ns.(at - due) :: !delays
+         | _ -> ()));
+  Fun.protect
+    ~finally:(fun () -> Trace.set_tap None)
+    (fun () ->
+      for _ = 1 to 20 do
+        ignore (Softtimer.schedule_after st (us 30.0) (fun _ -> ()) : Softtimer.handle)
+      done;
+      Engine.run_until e (Time_ns.of_ms 20.0));
+  Alcotest.(check int) "all delays recorded" 20 (List.length !delays);
+  Alcotest.(check bool) "delays non-negative" true
+    (List.for_all (fun d -> Time_ns.(d >= zero)) !delays)
 
 (* The paper's bound, as a property over random T and trigger gaps. *)
 let test_bounds_property =
