@@ -2,8 +2,8 @@
    paper, printing measured values next to the paper's.  The Bechamel
    microbenchmarks live in microbench.exe.
 
-   Pass --quick for a fast, noisier pass (used by CI); pass an
-   experiment id to run just one (see softtimers-cli for the list);
+   Pass --quick for a fast, noisier pass (used by CI); pass experiment
+   ids to run just those (the ids of softtimers-cli, Exp_registry);
    pass --seed N to replay a specific PRNG seed and --json FILE to
    additionally write a machine-readable baseline (BENCH_<tag>.json,
    compared across commits by tools/benchdiff). *)
@@ -14,47 +14,15 @@
    a reproducible result. *)
 [@@@lint.allow "DET001"]
 
-let experiments =
-  [
-    ("fig1", Exp_fig1.run);
-    ("fig2-3", Exp_hw_overhead.run);
-    ("soft-base", Exp_soft_base.run);
-    ("table1", Exp_trigger_dist.run);
-    ("fig5", Exp_trigger_windows.run);
-    ("table2", Exp_trigger_sources.run);
-    ("table3", Exp_rbc_overhead.run);
-    ("table4-5", Exp_rbc_process.run);
-    ("table6-7", Exp_rbc_wan.run);
-    ("table8", Exp_polling.run);
-    ("livelock", Exp_livelock.run);
-    ("sensitivity", Exp_sensitivity.run);
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* --json FILE: machine-readable baseline.                             *)
 (*                                                                     *)
 (* Everything under the simulated results (table cells, attribution)   *)
 (* is a deterministic function of (seed, quick); only wall_clock_s     *)
 (* varies between machines, and tools/benchdiff skips those keys.      *)
-(* Hand-rolled writer: fixed field order, %.6g floats, sorted where    *)
-(* the source order is not already deterministic.                      *)
+(* Fixed field order, %.6g floats, sorted where the source order is    *)
+(* not already deterministic.                                          *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ json_escape s ^ "\""
-let jnum v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
-let jlist items = "[" ^ String.concat "," items ^ "]"
-let jobj fields = "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
 let server_name = function Webserver.Apache -> "apache" | Webserver.Flash -> "flash"
 
 let http_name = function
@@ -62,54 +30,54 @@ let http_name = function
   | Webserver.Persistent n -> Printf.sprintf "p-http-%d" n
 
 let table3_json rows =
-  jlist
+  Json.list
     (List.map
        (fun (r : Exp_rbc_overhead.server_rows) ->
-         jobj
+         Json.obj
            [
-             ("server", jstr (server_name r.server));
-             ("base_tput", jnum r.base_tput);
-             ("hw_tput", jnum r.hw_tput);
-             ("hw_overhead_pct", jnum r.hw_overhead_pct);
-             ("hw_interval_us", jnum r.hw_interval_us);
-             ("soft_tput", jnum r.soft_tput);
-             ("soft_overhead_pct", jnum r.soft_overhead_pct);
-             ("soft_interval_us", jnum r.soft_interval_us);
+             ("server", Json.str (server_name r.server));
+             ("base_tput", Json.num r.base_tput);
+             ("hw_tput", Json.num r.hw_tput);
+             ("hw_overhead_pct", Json.num r.hw_overhead_pct);
+             ("hw_interval_us", Json.num r.hw_interval_us);
+             ("soft_tput", Json.num r.soft_tput);
+             ("soft_overhead_pct", Json.num r.soft_overhead_pct);
+             ("soft_interval_us", Json.num r.soft_interval_us);
            ])
        rows)
 
 let table8_json rows =
-  jlist
+  Json.list
     (List.map
        (fun (r : Exp_polling.row) ->
-         jobj
+         Json.obj
            [
-             ("server", jstr (server_name r.server));
-             ("http", jstr (http_name r.http));
-             ("mean_batch", jnum r.mean_batch);
+             ("server", Json.str (server_name r.server));
+             ("http", Json.str (http_name r.http));
+             ("mean_batch", Json.num r.mean_batch);
              ( "cells",
-               jlist
+               Json.list
                  (List.map
                     (fun (c : Exp_polling.cell) ->
-                      jobj
+                      Json.obj
                         [
-                          ("quota", match c.quota with None -> "null" | Some q -> jnum q);
-                          ("tput", jnum c.tput);
-                          ("ratio", jnum c.ratio);
+                          ("quota", match c.quota with None -> "null" | Some q -> Json.num q);
+                          ("tput", Json.num c.tput);
+                          ("ratio", Json.num c.ratio);
                         ])
                     r.cells) );
            ])
        rows)
 
 let table2_json (res : Exp_trigger_sources.result) =
-  jlist
+  Json.list
     (List.map
        (fun (r : Exp_trigger_sources.source_row) ->
-         jobj
+         Json.obj
            [
-             ("source", jstr (Trigger.name r.source));
-             ("fraction_pct", jnum r.fraction_pct);
-             ("paper_pct", jnum r.paper_pct);
+             ("source", Json.str (Trigger.name r.source));
+             ("fraction_pct", Json.num r.fraction_pct);
+             ("paper_pct", Json.num r.paper_pct);
            ])
        res.sources)
 
@@ -119,21 +87,22 @@ let attribution_json p =
      benchdiff keys array elements by index, so the JSON needs an order
      that only depends on which categories exist. *)
   let by_name (a, _) (b, _) = String.compare a b in
-  jobj
+  Json.obj
     [
       ("total_attributed_ns", Printf.sprintf "%Ld" (Profile.total_attributed_ns p));
       ("cpus", string_of_int (Profile.cpu_count p));
       ("fired_total", string_of_int (Profile.fired_total p));
       ( "categories",
-        jlist
+        Json.list
           (List.map
-             (fun (name, ns) -> jobj [ ("path", jstr name); ("ns", Printf.sprintf "%Ld" ns) ])
+             (fun (name, ns) ->
+               Json.obj [ ("path", Json.str name); ("ns", Printf.sprintf "%Ld" ns) ])
              (List.sort by_name (Profile.roots_ns p))) );
       ( "dispatch",
-        jlist
+        Json.list
           (List.map
              (fun (source, fires) ->
-               jobj [ ("source", jstr source); ("fires", string_of_int fires) ])
+               Json.obj [ ("source", Json.str source); ("fires", string_of_int fires) ])
              (List.sort by_name (Profile.dispatch_rows p))) );
     ]
 
@@ -151,14 +120,14 @@ let whylate_json da =
         if Int64.equal ns 0L then None
         else
           Some
-            (jobj
+            (Json.obj
                [
-                 ("cause", jstr (Delay_audit.seg_label k));
+                 ("cause", Json.str (Delay_audit.seg_label k));
                  ("ns", Printf.sprintf "%Ld" ns);
                ]))
       (List.init Delay_audit.nseg Fun.id)
   in
-  jobj
+  Json.obj
     [
       ("fired", string_of_int (Delay_audit.fired da));
       ("ontime", string_of_int (Delay_audit.ontime da));
@@ -167,14 +136,14 @@ let whylate_json da =
       ("pending_at_exit", string_of_int (Delay_audit.pending_at_exit da));
       ("violations", string_of_int (Delay_audit.violations da));
       ("total_late_ns", Printf.sprintf "%Ld" (Delay_audit.total_late_ns da));
-      ("causes", jlist causes);
+      ("causes", Json.list causes);
       ( "end_triggers",
-        jlist
+        Json.list
           (List.map
              (fun (trig, n, ns, _) ->
-               jobj
+               Json.obj
                  [
-                   ("trigger", jstr trig);
+                   ("trigger", Json.str trig);
                    ("late", string_of_int n);
                    ("ns", Printf.sprintf "%Ld" ns);
                  ])
@@ -231,9 +200,9 @@ let stores_json cfg =
     let words = M.words t in
     let pending = M.pending t in
     let row =
-      jobj
+      Json.obj
         [
-          ("store", jstr M.name);
+          ("store", Json.str M.name);
           ("fired", string_of_int !fired);
           ("rearms", string_of_int !rearms);
           ("max_resident", string_of_int !max_resident);
@@ -241,18 +210,18 @@ let stores_json cfg =
         ]
     in
     let mem =
-      jobj
+      Json.obj
         [
-          ("store", jstr M.name);
+          ("store", Json.str M.name);
           ("words", string_of_int words);
           ("pending", string_of_int pending);
-          ("words_per_timer", jnum (float_of_int words /. float_of_int (max 1 pending)));
+          ("words_per_timer", Json.num (float_of_int words /. float_of_int (max 1 pending)));
         ]
     in
     (row, mem)
   in
   let cells = List.map run Store_registry.all in
-  (jlist (List.map fst cells), jobj [ ("stores", jlist (List.map snd cells)) ])
+  (Json.list (List.map fst cells), Json.obj [ ("stores", Json.list (List.map snd cells)) ])
 
 let emit_json ~path ~cfg ~quick ~timings ~profile =
   (* The structured computes replay deterministically from the same
@@ -272,16 +241,17 @@ let emit_json ~path ~cfg ~quick ~timings ~profile =
   let t2 = Exp_trigger_sources.compute cfg in
   let stores_cells, mem_section = stores_json cfg in
   let doc =
-    jobj
+    Json.obj
       [
-        ("schema", jstr "softtimers-bench/1");
+        ("schema", Json.str "softtimers-bench/1");
         ("seed", string_of_int cfg.Exp_config.seed);
         ("quick", if quick then "true" else "false");
-        ("machine_profile", jstr Costs.pentium_ii_300.name);
+        ("machine_profile", Json.str Costs.pentium_ii_300.name);
         ( "experiments",
-          jlist
+          Json.list
             (List.map
-               (fun (name, dt) -> jobj [ ("name", jstr name); ("wall_clock_s", jnum dt) ])
+               (fun (name, dt) ->
+                 Json.obj [ ("name", Json.str name); ("wall_clock_s", Json.num dt) ])
                timings) );
         ("table3", table3_json t3);
         ("table8", table8_json t8);
@@ -300,16 +270,11 @@ let emit_json ~path ~cfg ~quick ~timings ~profile =
       output_char oc '\n')
 
 let usage () =
-  prerr_endline
-    "usage: main.exe [--quick|-q] [--metrics] [--timeseries] [--window US] [--seed N] \
-     [--jobs N] [--json FILE] [EXPERIMENT...]";
+  prerr_endline "usage: main.exe [--quick|-q] [--seed N] [--jobs N] [--json FILE] [EXPERIMENT...]";
   exit 2
 
 let () =
   let quick = ref false in
-  let metrics = ref false in
-  let timeseries = ref false in
-  let window_us = ref 1000.0 in
   let seed = ref None in
   let jobs = ref None in
   let json = ref None in
@@ -318,19 +283,6 @@ let () =
     | [] -> ()
     | ("--quick" | "-q") :: rest ->
       quick := true;
-      parse rest
-    | "--metrics" :: rest ->
-      metrics := true;
-      parse rest
-    | "--timeseries" :: rest ->
-      timeseries := true;
-      parse rest
-    | "--window" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some w when w > 0.0 -> window_us := w
-      | Some _ | None ->
-        Printf.eprintf "bench: --window expects a positive number of microseconds, got %S\n" v;
-        usage ());
       parse rest
     | "--seed" :: v :: rest ->
       (match int_of_string_opt v with
@@ -349,106 +301,48 @@ let () =
     | "--json" :: path :: rest ->
       json := Some path;
       parse rest
-    | [ ("--seed" | "--json" | "--jobs" | "--window") ] -> usage ()
-    | a :: rest ->
-      wanted := a :: !wanted;
+    | [ ("--seed" | "--json" | "--jobs") ] -> usage ()
+    | flag :: _ when String.length flag > 1 && flag.[0] = '-' ->
+      Printf.eprintf "bench: unknown option %s\n" flag;
+      usage ()
+    | id :: rest ->
+      (match Exp_registry.find id with
+      | Ok _ -> wanted := id :: !wanted
+      | Error msg ->
+        Printf.eprintf "bench: %s\n" msg;
+        usage ());
       parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let wanted = List.rev !wanted in
   let base = if !quick then Exp_config.quick else Exp_config.default in
   let cfg = match !seed with None -> base | Some s -> { base with Exp_config.seed = s } in
   let to_run =
-    match wanted with
-    | [] -> experiments
-    | ids -> List.filter (fun (n, _) -> List.mem n ids) experiments
+    match !wanted with
+    | [] -> Exp_registry.all
+    | ids -> List.filter (fun (id, _, _) -> List.mem id ids) Exp_registry.all
   in
   (* --jobs 0 (or the flag's absence) lets the runtime pick; the value
      becomes the default for every Runner.map in this process,
      including the per-cell fan-out inside exp_sensitivity. *)
-  (match !jobs with Some n -> Runner.set_default_jobs n | None -> ());
-  if !metrics then begin
-    (* Exact metric counts need single-threaded runs: shared counters
-       are bumped racily (hence approximately) by parallel workers. *)
-    if Runner.default_jobs () > 1 then
-      prerr_endline "bench: --metrics forces --jobs 1 (counters must be exact)";
-    Runner.set_default_jobs 1;
-    Metrics.reset Metrics.default
-  end;
-  (* --timeseries taps the event stream into a windowed collector; the
-     tap makes Runner.map_sim run sequentially, so the summary printed
-     after the runs is deterministic at every --jobs value. *)
-  let series =
-    if not !timeseries then None
-    else begin
-      let ts = Timeseries.create ~window:(Time_ns.of_us !window_us) () in
-      Trace.set_tap (Some (Timeseries.on_event ts));
-      Some ts
-    end
-  in
+  Option.iter Runner.set_default_jobs !jobs;
   (* Every experiment is an independent deterministic simulation;
      fan the cells across domains and print in list order.  Wall-clock
      timings are taken inside each job (they overlap under parallelism
      and are excluded from benchdiff comparisons either way). *)
   let outputs =
     Runner.map_sim
-      (fun (name, f) ->
+      (fun (id, _, run) ->
         let t0 = Unix.gettimeofday () in
-        let out = f cfg in
-        (name, out, Unix.gettimeofday () -. t0))
+        let out = run cfg in
+        (id, out, Unix.gettimeofday () -. t0))
       to_run
   in
-  (match series with
-  | None -> ()
-  | Some ts ->
-    Trace.set_tap None;
-    Timeseries.close ts);
-  let timings = List.map (fun (name, _, dt) -> (name, dt)) outputs in
   List.iter
     (fun (_, out, _) ->
       print_string out;
       print_newline ())
     outputs;
-  if !metrics then begin
-    print_string (Exp_config.header "Metrics registry (lib/obs) after the runs");
-    print_string (Metrics.dump Metrics.default);
-    print_newline ()
-  end;
-  (match series with
-  | None -> ()
-  | Some ts ->
-    print_string
-      (Exp_config.header
-         (Printf.sprintf "Time series (window %g us of simulated time)" !window_us));
-    let snaps = Timeseries.snapshots ts in
-    Printf.printf "events %d, windows %d (%d evicted), epochs %d\n" (Timeseries.event_count ts)
-      (List.length snaps)
-      (Timeseries.evicted_windows ts)
-      (Timeseries.epochs ts);
-    let d = Timeseries.overall_delay ts in
-    if Hdr.count d > 0 then
-      Printf.printf "fire delay us: n=%d p50=%.3f p99=%.3f max=%.3f\n" (Hdr.count d)
-        (Hdr.quantile d 0.5) (Hdr.quantile d 0.99) (Hdr.max d);
-    (* Busiest windows by fired timers: a compact, deterministic digest
-       of where the action was (full rows via softtimers-cli stats --csv). *)
-    let by_fired =
-      List.sort
-        (fun (a : Timeseries.snapshot) b ->
-          match compare b.s_fired a.s_fired with
-          | 0 -> compare (a.s_epoch, a.s_index) (b.s_epoch, b.s_index)
-          | c -> c)
-        snaps
-    in
-    List.iteri
-      (fun i (s : Timeseries.snapshot) ->
-        if i < 5 && s.Timeseries.s_fired > 0 then
-          Printf.printf
-            "  window e%d/%d @%.0fus: fired=%d sched=%d polls=%d rx=%d p99=%.3fus\n"
-            s.s_epoch s.s_index s.s_start_us s.s_fired s.s_sched s.s_polls s.s_pkt_rx_pkts
-            s.s_delay_p99_us)
-      by_fired;
-    print_newline ());
-  (match !json with
+  match !json with
   | None -> ()
   | Some path ->
     (* The profiler is installed only around emit_json's sequential
@@ -458,5 +352,7 @@ let () =
     let p = Profile.create () in
     Profile.install p;
     Fun.protect ~finally:Profile.uninstall (fun () ->
-        emit_json ~path ~cfg ~quick:!quick ~timings ~profile:p);
-    Printf.printf "wrote %s\n" path)
+        emit_json ~path ~cfg ~quick:!quick
+          ~timings:(List.map (fun (id, _, dt) -> (id, dt)) outputs)
+          ~profile:p);
+    Printf.printf "wrote %s\n" path

@@ -504,19 +504,6 @@ let to_text t =
   else addf "\nNo late fires: every dispatched timer fired at its deadline.\n";
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let b = Buffer.create 4096 in
   let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -543,7 +530,7 @@ let to_json t =
   List.iteri
     (fun i (name, fires, delay, segs) ->
       if i > 0 then addf ",";
-      addf "{\"trigger\":\"%s\",\"fires\":%d,\"delay_ns\":%Ld,\"segs\":{" (json_escape name)
+      addf "{\"trigger\":%s,\"fires\":%d,\"delay_ns\":%Ld,\"segs\":{" (Json.str name)
         fires delay;
       let first = ref true in
       Array.iteri
@@ -561,8 +548,8 @@ let to_json t =
     (fun i x ->
       if i > 0 then addf ",";
       addf
-        "{\"timer\":%d,\"due_ns\":%Ld,\"fire_ns\":%Ld,\"delay_ns\":%Ld,\"end_trigger\":\"%s\",\"batch_pos\":%d,\"checks_skipped\":%d"
-        x.x_id x.x_due x.x_fire x.x_delay (json_escape x.x_end_trigger) x.x_batch_pos
+        "{\"timer\":%d,\"due_ns\":%Ld,\"fire_ns\":%Ld,\"delay_ns\":%Ld,\"end_trigger\":%s,\"batch_pos\":%d,\"checks_skipped\":%d"
+        x.x_id x.x_due x.x_fire x.x_delay (Json.str x.x_end_trigger) x.x_batch_pos
         x.x_checks;
       (match x.x_first_check with
       | Some c -> addf ",\"first_check_ns\":%Ld" c

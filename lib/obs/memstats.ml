@@ -258,7 +258,7 @@ let to_json () =
     (fun i (full, w, is_live) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"path\":%S,\"words\":%d,\"live\":%b}" full w is_live))
+        (Printf.sprintf "{\"path\":%s,\"words\":%d,\"live\":%b}" (Json.str full) w is_live))
     rows;
   Buffer.add_string buf
     (Printf.sprintf

@@ -275,17 +275,15 @@ let to_csv t =
     (snapshots t);
   Buffer.contents b
 
-let jnum v = if Float.is_nan v then "null" else Printf.sprintf "%.6g" v
-
 let json_of_snapshot s =
   Printf.sprintf
     "{\"epoch\":%d,\"index\":%d,\"start_us\":%s,\"triggers\":%d,\"sched\":%d,\"fired\":%d,\"cancelled\":%d,\"polls\":%d,\"poll_found\":%d,\"rbc_sends\":%d,\"pkt_enqueued\":%d,\"pkt_tx\":%d,\"pkt_rx_batches\":%d,\"pkt_rx_pkts\":%d,\"pkt_drop\":%d,\"irqs\":%d,\"irq_us\":%s,\"cpu_wakeups\":%d,\"qlen_last\":%s,\"delay_count\":%d,\"delay_p50_us\":%s,\"delay_p99_us\":%s,\"delay_max_us\":%s}"
-    s.s_epoch s.s_index (jnum s.s_start_us) s.s_triggers s.s_sched s.s_fired s.s_cancelled
+    s.s_epoch s.s_index (Json.num s.s_start_us) s.s_triggers s.s_sched s.s_fired s.s_cancelled
     s.s_polls s.s_poll_found s.s_rbc_sends s.s_pkt_enqueued s.s_pkt_tx s.s_pkt_rx_batches
-    s.s_pkt_rx_pkts s.s_pkt_drop s.s_irqs (jnum s.s_irq_us) s.s_cpu_wakeups
+    s.s_pkt_rx_pkts s.s_pkt_drop s.s_irqs (Json.num s.s_irq_us) s.s_cpu_wakeups
     (match s.s_qlen_last with None -> "null" | Some q -> string_of_int q)
-    s.s_delay_count (jnum s.s_delay_p50_us) (jnum s.s_delay_p99_us)
-    (jnum s.s_delay_max_us)
+    s.s_delay_count (Json.num s.s_delay_p50_us) (Json.num s.s_delay_p99_us)
+    (Json.num s.s_delay_max_us)
 
 let to_json t =
-  "[" ^ String.concat "," (List.map json_of_snapshot (snapshots t)) ^ "]"
+  Json.list (List.map json_of_snapshot (snapshots t))

@@ -1,18 +1,3 @@
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* trace_event timestamps are in microseconds; keep ns as fractionals. *)
 let us_of ns = Int64.to_float ns /. 1e3
 
@@ -29,25 +14,16 @@ type ev = {
 let json_of_ev e =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-       (escape e.name) (escape e.cat) e.ph e.ts e.tid);
+    (Printf.sprintf "{\"name\":%s,\"cat\":%s,\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
+       (Json.str e.name) (Json.str e.cat) e.ph e.ts e.tid);
   (match e.dur with Some d -> Buffer.add_string b (Printf.sprintf ",\"dur\":%.3f" d) | None -> ());
   if e.ph = "i" then Buffer.add_string b ",\"s\":\"t\"";
-  if e.args <> [] then begin
-    Buffer.add_string b ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%s" (escape k) v))
-      e.args;
-    Buffer.add_char b '}'
-  end;
+  if e.args <> [] then Buffer.add_string b (",\"args\":" ^ Json.obj e.args);
   Buffer.add_char b '}';
   Buffer.contents b
 
 let f v = Printf.sprintf "%g" v
 let i v = string_of_int v
-let str v = Printf.sprintf "\"%s\"" (escape v)
 
 let ev_of_record { Trace.at; ev } =
   let ts = us_of at in
@@ -67,7 +43,7 @@ let ev_of_record { Trace.at; ev } =
       ~args:[ ("timer", i id); ("due_us", f (us_of due)) ]
   | Trace.Soft_check { src; scanned; fired } ->
     instant ~cat:"softtimer" "soft-check"
-      ~args:[ ("src", str src); ("scanned", i scanned); ("fired", i fired) ]
+      ~args:[ ("src", Json.str src); ("scanned", i scanned); ("fired", i fired) ]
   | Trace.Cpu_run { cpu; klass; dur } ->
     (* Like Irq: stamped at quantum end; the slice starts at entry. *)
     {
@@ -113,11 +89,11 @@ let ev_of_record { Trace.at; ev } =
       args = [ ("busy", "0") ];
     }
   | Trace.Pkt_enqueue { nic; qlen } ->
-    instant ~cat:"net" "pkt-enqueue" ~args:[ ("nic", str nic); ("qlen", i qlen) ]
-  | Trace.Pkt_tx { nic } -> instant ~cat:"net" "pkt-tx" ~args:[ ("nic", str nic) ]
+    instant ~cat:"net" "pkt-enqueue" ~args:[ ("nic", Json.str nic); ("qlen", i qlen) ]
+  | Trace.Pkt_tx { nic } -> instant ~cat:"net" "pkt-tx" ~args:[ ("nic", Json.str nic) ]
   | Trace.Pkt_rx { nic; batch } ->
-    instant ~cat:"net" "pkt-rx" ~args:[ ("nic", str nic); ("batch", i batch) ]
-  | Trace.Pkt_drop { nic } -> instant ~cat:"net" "pkt-drop" ~args:[ ("nic", str nic) ]
+    instant ~cat:"net" "pkt-rx" ~args:[ ("nic", Json.str nic); ("batch", i batch) ]
+  | Trace.Pkt_drop { nic } -> instant ~cat:"net" "pkt-drop" ~args:[ ("nic", Json.str nic) ]
   | Trace.Poll { found } -> instant ~cat:"softtimer" "net-poll" ~args:[ ("found", i found) ]
   | Trace.Rbc_send -> instant ~cat:"softtimer" "rbc-send"
   | Trace.Mark s -> instant ~cat:"mark" s
@@ -171,8 +147,8 @@ let add_span_events b (sp : Span.t) =
           Buffer.add_char b ',';
           Buffer.add_string b
             (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"id\":%d%s}"
-               (escape name) ph ts tid s.Span.id args)
+               "{\"name\":%s,\"cat\":\"span\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"id\":%d%s}"
+               (Json.str name) ph ts tid s.Span.id args)
         in
         async "b" (us_of s.Span.start)
           (Printf.sprintf ",\"args\":{\"outcome\":\"%s\"}" outcome);
