@@ -7,17 +7,6 @@ let h_intervals = Metrics.dhistogram Metrics.default "rate_clock.interval_us"
    burstiness the paper's Figure 5 jitter discussion is about. *)
 let e_catch_up = Profile.intern [ "rate_clock"; "catch_up_send" ]
 
-(* The default interval histogram is shared by every clock that does not
-   opt into its own: an Hdr costs ~a KB of buckets, and a million paced
-   flows must not carry a million of them (the per-flow copy used to
-   cost GBs at that scale).  Clocks whose statistics must be read in
-   isolation pass [~intervals:(Hdr.create ~lowest:0.01 ())]. *)
-(* RACE002: cohort state shares the registry's single-domain contract —
-   experiment workers that record in parallel pass their own
-   [~intervals]; the shared default is only touched from sequential
-   runs. *)
-let cohort_intervals = Hdr.create ~lowest:0.01 () [@@lint.allow "RACE002"]
-
 type t = {
   st : Softtimer.t;
   target : Time_ns.span;
@@ -32,11 +21,11 @@ type t = {
   intervals : Hdr.t;
       (* Constant-memory: a clock sends once per interval for the whole
          run, so retaining every gap (the old [Stats.Sample.t]) grew
-         without bound — one float per packet, forever.  Shared with
-         the cohort by default; see [cohort_intervals]. *)
+         without bound — one float per packet, forever.  The caller
+         owns it and may share one across a cohort of clocks. *)
 }
 
-let create ?(intervals = cohort_intervals) st ~target_interval ~min_interval ~send () =
+let create ~intervals st ~target_interval ~min_interval ~send () =
   if Time_ns.(min_interval <= 0L) || Time_ns.(min_interval > target_interval) then
     invalid_arg "Rate_clock.create: need 0 < min_interval <= target_interval";
   {
@@ -245,7 +234,7 @@ module Pool (M : Timer_store.S) = struct
       end
     end
 
-  let create ?(stat_every = 1) ?(intervals = cohort_intervals)
+  let create ?(stat_every = 1) ~intervals
       ?(delays = Hdr.create ~lowest:0.01 ()) ~tick ~send () =
     if stat_every < 1 then invalid_arg "Rate_clock.Pool.create: stat_every < 1";
     let rec p =

@@ -20,14 +20,8 @@
 
 type t
 
-val cohort_intervals : Hdr.t
-(** The interval histogram shared by every clock and pool that does not
-    opt into a private one.  An [Hdr.t] costs on the order of a
-    kilobyte; at a million flows a per-flow copy is gigabytes of bucket
-    arrays, so sharing is the default and isolation is the opt-in. *)
-
 val create :
-  ?intervals:Hdr.t ->
+  intervals:Hdr.t ->
   Softtimer.t ->
   target_interval:Time_ns.span ->
   min_interval:Time_ns.span ->
@@ -38,9 +32,11 @@ val create :
     [false] when nothing is pending — which ends the current train (the
     clock goes idle until {!kick}).
 
-    [intervals] defaults to {!cohort_intervals}; pass
-    [~intervals:(Hdr.create ~lowest:0.01 ())] to give this clock a
-    private histogram whose statistics can be read in isolation.
+    The clock records its gaps into [intervals].  Pass a fresh
+    [Hdr.create ~lowest:0.01 ()] to read this clock's statistics in
+    isolation, or one histogram shared by a cohort of clocks: an
+    [Hdr.t] costs on the order of a kilobyte, so a clock must not own
+    one at a million flows.
     @raise Invalid_argument unless [0 < min_interval <= target_interval]. *)
 
 val start : t -> unit
@@ -61,8 +57,8 @@ val intervals : t -> Hdr.t
 (** Inter-transmission gaps within trains, in microseconds — the
     statistic of the paper's Tables 4 and 5.  A constant-memory
     histogram: memory is bounded by the number of distinct buckets, not
-    by the number of sends, so a long-lived clock never grows.  Shared
-    with the cohort unless the clock was created with a private one. *)
+    by the number of sends, so a long-lived clock never grows.  The
+    histogram passed to {!create}. *)
 
 (** Flow-id-indexed rate clocks over one shared timer store.
 
@@ -78,7 +74,7 @@ module Pool (M : Timer_store.S) : sig
 
   val create :
     ?stat_every:int ->
-    ?intervals:Hdr.t ->
+    intervals:Hdr.t ->
     ?delays:Hdr.t ->
     tick:Time_ns.span ->
     send:(int -> bool) ->
@@ -87,7 +83,7 @@ module Pool (M : Timer_store.S) : sig
   (** [send fid] transmits one packet for flow [fid] and returns [true],
       or [false] to end that flow's train (idle until {!kick}).
       [stat_every] (default 1) samples every n-th fire into the
-      histograms; [intervals] defaults to {!cohort_intervals}; [delays]
+      histograms: the caller's [intervals], and [delays], which
       defaults to a fresh pool-private histogram.
       @raise Invalid_argument if [stat_every < 1]. *)
 

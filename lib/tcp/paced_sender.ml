@@ -37,7 +37,7 @@ let create_with_rate_clock st params ~total_segments ~target_interval ~min_inter
     invalid_arg "Paced_sender.create_with_rate_clock: negative transfer size";
   let t = { total = total_segments; sent = 0; start_fn = (fun () -> ()) } in
   let clock =
-    Rate_clock.create st ~target_interval ~min_interval
+    Rate_clock.create ~intervals:(Hdr.create ~lowest:0.01 ()) st ~target_interval ~min_interval
       ~send:(fun now ->
         if t.sent >= t.total then false
         else begin
@@ -107,13 +107,13 @@ module Fleet (M : Timer_store.S) = struct
       end
     end
 
-  let create ?stat_every ?intervals ?delays ?(params = Tcp_types.default) ~tick ~transmit () =
+  let create ?stat_every ~intervals ?delays ?(params = Tcp_types.default) ~tick ~transmit () =
     let t =
       {
         (* Placeholder pool: replaced below once [t] exists for the
            send closure to capture ([P.create] application keeps the
            record out of [let rec] territory). *)
-        pool = P.create ~tick ~send:(fun _ -> false) ();
+        pool = P.create ~intervals ~tick ~send:(fun _ -> false) ();
         arena = Session_arena.create ();
         packets = Packet.Pool.create ();
         seg_bytes = params.Tcp_types.mss + Packet.frame_overhead;
@@ -122,7 +122,7 @@ module Fleet (M : Timer_store.S) = struct
       }
     in
     t.pool <-
-      P.create ?stat_every ?intervals ?delays ~tick ~send:(fun fid -> fleet_send t fid) ();
+      P.create ?stat_every ~intervals ?delays ~tick ~send:(fun fid -> fleet_send t fid) ();
     t
 
   let add t ~total_segments ~target_interval ~min_interval =

@@ -41,7 +41,8 @@ val create_with_rate_clock :
   t * Rate_clock.t
 (** The integrated form: a {!Rate_clock} on the facility's machine emits
     the pacing events; transmission order and count are identical, the
-    timing reflects the machine's trigger-state process.  Call
+    timing reflects the machine's trigger-state process; the clock
+    records its gaps into a private histogram.  Call
     {!Rate_clock.start} on the returned clock to begin. *)
 
 (** Fleet pacing: many transfers over one {!Rate_clock.Pool}.
@@ -57,7 +58,7 @@ module Fleet (M : Timer_store.S) : sig
 
   val create :
     ?stat_every:int ->
-    ?intervals:Hdr.t ->
+    intervals:Hdr.t ->
     ?delays:Hdr.t ->
     ?params:Tcp_types.params ->
     tick:Time_ns.span ->

@@ -296,25 +296,21 @@ let test_fleet_packet_pool_warm () =
 (* ------------------------------------------------------------------ *)
 (* Memory regressions *)
 
-let test_default_clocks_share_cohort_hdr () =
+let test_clocks_share_cohort_hdr () =
   let e = Engine.create () in
   let m = Machine.create e in
   let st = Softtimer.attach m in
-  let mk ?intervals () =
-    Rate_clock.create ?intervals st ~target_interval:(us 50.0) ~min_interval:(us 10.0)
+  (* Every clock records into one cohort histogram, as a fleet would. *)
+  let cohort = Hdr.create ~lowest:0.01 () in
+  let mk () =
+    Rate_clock.create ~intervals:cohort st ~target_interval:(us 50.0) ~min_interval:(us 10.0)
       ~send:(fun _ -> true)
       ()
   in
-  let c1 = mk () and c2 = mk () in
-  Alcotest.(check bool) "default clocks share one Hdr" true
-    (Rate_clock.intervals c1 == Rate_clock.intervals c2);
-  let private_clock = mk ~intervals:(Hdr.create ~lowest:0.01 ()) () in
-  Alcotest.(check bool) "opt-in keeps a private Hdr" false
-    (Rate_clock.intervals private_clock == Rate_clock.intervals c1);
   (* The regression this guards: per-clock marginal memory must not
      include a histogram.  An Hdr with a few recorded values is ~KB;
      a clock record is a few dozen words. *)
-  Hdr.record (Rate_clock.intervals c1) 50.0;
+  Hdr.record cohort 50.0;
   let words l = Obj.reachable_words (Obj.repr l) in
   let base = words [ mk () ] in
   let ten = words [ mk (); mk (); mk (); mk (); mk (); mk (); mk (); mk (); mk (); mk () ] in
@@ -379,7 +375,7 @@ let () =
         ] );
       ( "memory",
         [
-          Alcotest.test_case "cohort hdr shared" `Quick test_default_clocks_share_cohort_hdr;
+          Alcotest.test_case "cohort hdr shared" `Quick test_clocks_share_cohort_hdr;
           Alcotest.test_case "pool per-flow bounded" `Quick test_pool_memory_per_flow_bounded;
         ] );
     ]

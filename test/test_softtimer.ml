@@ -261,7 +261,8 @@ let test_rate_clock_train_ends_and_kicks () =
   start_triggers ~gap_us:10.0 m 7;
   let budget = ref 5 in
   let clock =
-    Rate_clock.create st ~target_interval:(us 40.0) ~min_interval:(us 12.0)
+    Rate_clock.create ~intervals:(Hdr.create ~lowest:0.01 ()) st ~target_interval:(us 40.0)
+      ~min_interval:(us 12.0)
       ~send:(fun _ -> if !budget > 0 then (decr budget; true) else false)
       ()
   in
@@ -278,7 +279,8 @@ let test_rate_clock_stop () =
   let e, m, st = fresh () in
   start_triggers m 8;
   let clock =
-    Rate_clock.create st ~target_interval:(us 40.0) ~min_interval:(us 12.0)
+    Rate_clock.create ~intervals:(Hdr.create ~lowest:0.01 ()) st ~target_interval:(us 40.0)
+      ~min_interval:(us 12.0)
       ~send:(fun _ -> true)
       ()
   in
@@ -297,7 +299,8 @@ let test_two_clocks_different_rates () =
   let mk target =
     let sends = ref 0 in
     let clock =
-      Rate_clock.create st ~target_interval:(us target) ~min_interval:(us 12.0)
+      Rate_clock.create ~intervals:(Hdr.create ~lowest:0.01 ()) st ~target_interval:(us target)
+        ~min_interval:(us 12.0)
         ~send:(fun _ -> incr sends; true)
         ()
     in
@@ -318,7 +321,8 @@ let test_rate_clock_invalid_args () =
   Alcotest.check_raises "min > target"
     (Invalid_argument "Rate_clock.create: need 0 < min_interval <= target_interval") (fun () ->
       ignore
-        (Rate_clock.create st ~target_interval:(us 10.0) ~min_interval:(us 20.0)
+        (Rate_clock.create ~intervals:(Hdr.create ()) st ~target_interval:(us 10.0)
+           ~min_interval:(us 20.0)
            ~send:(fun _ -> true)
            ()))
 
