@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench profile-smoke bench-json benchdiff mem-smoke mem-bench trace-smoke stats-smoke whylate-smoke lint lint-json lint-baseline sanitize-smoke determinism perf-selftest clean
+.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench profile-smoke bench-json benchdiff mem-smoke mem-bench trace-smoke stats-smoke whylate-smoke lint lint-json sanitize-smoke determinism perf-selftest clean
 
 all: build
 
@@ -136,25 +136,17 @@ whylate-smoke: build
 # Static-analysis suite (tools/lint): determinism (DET001..DET004,
 # MLI001), domain races (RACE001..RACE004) and hot-path allocations
 # (ALLOC001..ALLOC003) over lib/ bin/ examples/ bench/ tools/, with
-# file:line:RULE diagnostics,
-# ratcheted against tools/lint/BASELINE.json (empty since the RACE002
-# burn-down — any finding is fresh debt).
+# file:line:RULE diagnostics.  Any finding fails; [@lint.allow] with a
+# reason is the one way to accept one.
 lint:
 	dune build @lint
 
-# Machine-readable findings: lint.json (softtimers-lint/1) and
-# lint.sarif (SARIF 2.1.0, baseline'd findings marked as suppressions)
-# for CI artifact upload and code-scanning viewers.  Exit status still
-# reflects the ratchet, so `make lint-json` both exports and gates.
+# Machine-readable findings: lint.json (softtimers-lint/2) and
+# lint.sarif (SARIF 2.1.0) for CI artifact upload and code-scanning
+# viewers.  The exit status is the lint verdict, so `make lint-json`
+# both exports and gates.
 lint-json: build
 	dune exec tools/lint/lint.exe -- --json lint.json --sarif lint.sarif lib bin examples bench tools
-
-# Re-freeze the ratchet from the current findings.  Do this
-# deliberately — after paying down frozen debt, or when knowingly
-# accepting new debt with a justification — never to silence a fresh
-# finding you could fix or [@lint.allow] with a reason.
-lint-baseline: build
-	dune exec tools/lint/lint.exe -- --write-baseline tools/lint/BASELINE.json lib bin examples bench tools
 
 # Run two representative experiments with the runtime invariant
 # sanitizer armed; any violation exits nonzero.

@@ -14,33 +14,25 @@
                Rules_det    DET001..DET004, MLI001  (determinism)
                Rules_race   RACE001..RACE004        (domain safety)
                Rules_alloc  ALLOC001..ALLOC003      (hot-path allocs)
-     pass 4  report: text (default) / --json / --sarif, ratcheted
-             against the committed BASELINE.json
+     pass 4  report: text (default) / --json / --sarif
 
    Suppression: file-level [@@@lint.allow "RULE"] or node-scoped
    [@lint.allow "RULE"] (covers the lines the annotated expression or
    let-binding spans); pair either with a comment justifying why the
-   rule does not apply.  The ratchet baseline freezes pre-existing
-   findings by (file, rule) count: `dune build @lint` stays green on
-   frozen debt and fails on any new finding.
+   rule does not apply.  Any other finding fails `dune build @lint`.
 
    Usage: lint.exe [options] [DIR|FILE...]
-     --baseline FILE        ratchet against FILE (per-(file,rule) counts)
-     --write-baseline FILE  regenerate the ratchet from current findings
-     --no-baseline          fail on every finding (fixture tests)
      --json FILE            machine-readable findings
      --sarif FILE           SARIF 2.1.0 for CI artifact upload / viewers
      --brief                print file:line:RULE only (golden tests)
      --det004-scope PREFIX  add a DET004 Hashtbl-iteration scope prefix
                             (replaces the default scope; repeatable)
 
-   Exit status: 0 clean (or all findings frozen), 1 new findings,
-   2 usage/configuration error. *)
+   Exit status: 0 clean, 1 findings, 2 usage/configuration error. *)
 
 let usage () =
   prerr_endline
-    "usage: lint.exe [--baseline FILE | --write-baseline FILE | --no-baseline]\n\
-    \                [--json FILE] [--sarif FILE] [--brief]\n\
+    "usage: lint.exe [--json FILE] [--sarif FILE] [--brief]\n\
     \                [--det004-scope PREFIX]... [DIR|FILE...]";
   exit 2
 
@@ -60,8 +52,6 @@ let rec walk dir acc =
       acc (Sys.readdir dir)
 
 let () =
-  let baseline_path = ref (Some "tools/lint/BASELINE.json") in
-  let write_baseline = ref None in
   let json_out = ref None in
   let sarif_out = ref None in
   let brief = ref false in
@@ -69,15 +59,6 @@ let () =
   let targets = ref [] in
   let rec parse_args = function
     | [] -> ()
-    | "--baseline" :: path :: rest ->
-      baseline_path := Some path;
-      parse_args rest
-    | "--no-baseline" :: rest ->
-      baseline_path := None;
-      parse_args rest
-    | "--write-baseline" :: path :: rest ->
-      write_baseline := Some path;
-      parse_args rest
     | "--json" :: path :: rest ->
       json_out := Some path;
       parse_args rest
@@ -139,62 +120,31 @@ let () =
     sources;
   Rules_alloc.scan_all graph;
 
+  (* Pass 4: report. *)
   let vs = Lint_diag.sorted () in
-
-  (* --write-baseline regenerates the ratchet and reports nothing. *)
-  (match !write_baseline with
-  | Some path ->
-    Lint_diag.write_baseline path vs;
-    Printf.eprintf "lint: baseline written to %s (%d finding(s) frozen in %d file(s))\n" path
-      (List.length vs)
-      (List.length
-         (List.sort_uniq String.compare (List.map (fun v -> v.Lint_diag.file) vs)));
-    exit 0
-  | None -> ());
-
-  (* Pass 4: ratchet + report. *)
-  let fresh, frozen =
-    match !baseline_path with
-    | Some path when Sys.file_exists path -> (
-      match Lint_diag.load_baseline path with
-      | bl -> Lint_diag.against_baseline bl vs
-      | exception Lint_diag.Bad_json msg ->
-        Printf.eprintf "lint: cannot read baseline %s: %s\n" path msg;
-        exit 2)
-    | Some _ | None -> (vs, [])
-  in
-  let frozen_set = List.map (fun v -> v) frozen in
-  let is_frozen v = List.memq v frozen_set in
   (match !json_out with
   | Some path ->
     let oc = open_out path in
-    output_string oc (Lint_diag.to_json ~frozen:is_frozen vs);
+    output_string oc (Lint_diag.to_json vs);
     close_out oc
   | None -> ());
   (match !sarif_out with
   | Some path ->
     let oc = open_out path in
-    output_string oc (Lint_diag.to_sarif ~frozen:is_frozen vs);
+    output_string oc (Lint_diag.to_sarif vs);
     close_out oc
   | None -> ());
   List.iter
     (fun (v : Lint_diag.violation) ->
       if !brief then Printf.printf "%s:%d:%s\n" v.file v.line v.rule
       else Printf.printf "%s:%d:%s %s\n" v.file v.line v.rule v.msg)
-    fresh;
-  if fresh = [] then begin
-    Printf.eprintf "lint: OK (%d files clean%s)\n" (List.length files)
-      (match frozen with
-      | [] -> ""
-      | fs -> Printf.sprintf ", %d finding(s) frozen in baseline" (List.length fs));
+    vs;
+  if vs = [] then begin
+    Printf.eprintf "lint: OK (%d files clean)\n" (List.length files);
     exit 0
   end
   else begin
-    Printf.eprintf "lint: %d new violation(s) in %d file(s)%s\n" (List.length fresh)
-      (List.length
-         (List.sort_uniq String.compare (List.map (fun v -> v.Lint_diag.file) fresh)))
-      (match frozen with
-      | [] -> ""
-      | fs -> Printf.sprintf " (+%d frozen in baseline)" (List.length fs));
+    Printf.eprintf "lint: %d violation(s) in %d file(s)\n" (List.length vs)
+      (List.length (List.sort_uniq String.compare (List.map (fun v -> v.Lint_diag.file) vs)));
     exit 1
   end
